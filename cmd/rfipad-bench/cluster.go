@@ -14,6 +14,7 @@ import (
 	"rfipad/internal/engine"
 	"rfipad/internal/experiments/scenario"
 	"rfipad/internal/live"
+	"rfipad/internal/llrp"
 	"rfipad/internal/obs"
 	"rfipad/internal/replay"
 	"rfipad/internal/supervise"
@@ -62,18 +63,25 @@ type clusterReport struct {
 }
 
 // benchBatches synthesizes one capture and chunks it into push-sized
-// reading batches. stripPrelude drops the static prelude (for phase-2
-// continuations that must ride a migrated calibration); shift offsets
-// every timestamp to keep one stream clock monotonic across phases.
-// maxTS is the largest post-shift timestamp.
-func benchBatches(seed int64, word string, shift time.Duration, stripPrelude bool) (batches [][]core.Reading, maxTS time.Duration, err error) {
+// reading batches, decoded here so the timed pushes do no wire decode.
+// stripPrelude drops the static prelude (for phase-2 continuations that
+// must ride a migrated calibration); shift offsets every timestamp to
+// keep one stream clock monotonic across phases. maxTS is the largest
+// post-shift timestamp.
+func benchBatches(seed int64, word string, shift time.Duration, stripPrelude bool) (batches []*core.ReadingBatch, maxTS time.Duration, err error) {
 	const prelude = 3 * time.Second
 	reports, err := replay.Synthesize(seed, word, prelude)
 	if err != nil {
 		return nil, 0, err
 	}
 	const chunk = 400
-	var batch []core.Reading
+	var batch []llrp.TagReport
+	flush := func() {
+		b := new(core.ReadingBatch)
+		live.AppendReports(b, batch)
+		batches = append(batches, b)
+		batch = batch[:0]
+	}
 	for _, rep := range reports {
 		if stripPrelude && rep.Timestamp <= prelude {
 			continue
@@ -82,23 +90,28 @@ func benchBatches(seed int64, word string, shift time.Duration, stripPrelude boo
 		if rep.Timestamp > maxTS {
 			maxTS = rep.Timestamp
 		}
-		batch = append(batch, live.ReadingFromReport(rep))
+		batch = append(batch, rep)
 		if len(batch) == chunk {
-			batches = append(batches, batch)
-			batch = nil
+			flush()
 		}
 	}
 	if len(batch) > 0 {
-		batches = append(batches, batch)
+		flush()
 	}
 	return batches, maxTS, nil
 }
 
 // pushBlocking retries a shed push until the owner's mailbox accepts
 // the batch, so the bench measures sustained throughput instead of
-// drop rate.
-func pushBlocking(c *cluster.Cluster, id engine.StreamID, batch []core.Reading) {
-	for !c.Push(id, batch) {
+// drop rate. A pushed batch belongs to the cluster even when shed, so
+// every attempt pushes a fresh pooled copy of the pre-decoded batch.
+func pushBlocking(c *cluster.Cluster, id engine.StreamID, src *core.ReadingBatch) {
+	for {
+		b := core.GetBatch()
+		b.AppendColumns(src.Times, src.Phases, src.RSS, src.TagIndices)
+		if c.Push(id, b) {
+			return
+		}
 		time.Sleep(200 * time.Microsecond)
 	}
 }
@@ -151,7 +164,7 @@ func runClusterScale(seed int64, word string, nodes, streamsPerNode int) (cluste
 		}
 	}
 	streams := nodes * streamsPerNode
-	captures := make(map[engine.StreamID][][]core.Reading, streams)
+	captures := make(map[engine.StreamID][]*core.ReadingBatch, streams)
 	total := 0
 	for i := 0; i < streams; i++ {
 		batches, _, err := benchBatches(seed+int64(i), word, 0, false)
@@ -162,7 +175,7 @@ func runClusterScale(seed int64, word string, nodes, streamsPerNode int) (cluste
 		id := engine.StreamID(fmt.Sprintf("stream-%02d", i))
 		captures[id] = batches
 		for _, b := range batches {
-			total += len(b)
+			total += b.Len()
 		}
 	}
 
@@ -170,7 +183,7 @@ func runClusterScale(seed int64, word string, nodes, streamsPerNode int) (cluste
 	var wg sync.WaitGroup
 	for id, batches := range captures {
 		wg.Add(1)
-		go func(id engine.StreamID, batches [][]core.Reading) {
+		go func(id engine.StreamID, batches []*core.ReadingBatch) {
 			defer wg.Done()
 			for _, b := range batches {
 				pushBlocking(c, id, b)

@@ -11,8 +11,8 @@ import (
 )
 
 // flattenNumbers walks an unmarshalled JSON value and collects every
-// numeric leaf under its dotted path ("core_scalar.readings_per_sec",
-// "per_stream.stream-00.p95_ms", "wire_batch.0.events", ...).
+// numeric leaf under its dotted path ("scale_factor",
+// "per_stream.stream-00.p95_ms", "scaling.0.readings_per_sec", ...).
 func flattenNumbers(prefix string, v any, out map[string]float64) {
 	switch x := v.(type) {
 	case float64:

@@ -164,3 +164,27 @@ func runEngineBench(seed int64, word string, streams, workers int, path string) 
 		multiRate, rep.ScaleFactor, rep.AllocsPerReading, path)
 	return nil
 }
+
+// sliceSource feeds a synthesized capture as fast as the engine drains
+// it (no replay pacing), so wall time measures the recognition stack
+// alone.
+type sliceSource struct {
+	reports []llrp.TagReport
+	pos     int
+}
+
+func (s *sliceSource) NextReports() ([]llrp.TagReport, error) {
+	const chunk = 256
+	if s.pos >= len(s.reports) {
+		return nil, llrp.ErrStreamEnded
+	}
+	end := s.pos + chunk
+	if end > len(s.reports) {
+		end = len(s.reports)
+	}
+	b := s.reports[s.pos:end]
+	s.pos = end
+	return b, nil
+}
+
+func (s *sliceSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }

@@ -1,24 +1,21 @@
 // Command rfipad-bench regenerates every table and figure of the
 // paper's evaluation (§V) plus the DESIGN.md ablations.
 //
-// It also measures the live recognition pipeline itself (throughput
-// and per-stage latency from the obs histograms) and writes the
-// machine-readable BENCH_pipeline.json so the perf trajectory is
-// tracked across commits.
+// It also measures the multi-stream engine and the cluster, writing
+// BENCH_engine.json and BENCH_cluster.json, and gates recognition
+// accuracy across the scenario matrix (BENCH_scenarios.json). The
+// per-layer performance report is perfbench's (bash perfbench/run.sh).
 //
 // Usage:
 //
 //	rfipad-bench -list
-//	rfipad-bench                 # quick pass over every experiment + pipeline bench
+//	rfipad-bench                 # quick pass over every experiment
 //	rfipad-bench -full           # paper-scale sample sizes (slow)
 //	rfipad-bench -run table1     # one experiment
-//	rfipad-bench -pipeline       # only the pipeline bench (BENCH_pipeline.json)
 //	rfipad-bench -engine         # only the multi-stream engine bench (BENCH_engine.json)
 //	rfipad-bench -engine -engine-streams 16 -engine-workers 4
 //	rfipad-bench -cluster        # only the multi-node cluster bench (BENCH_cluster.json)
 //	rfipad-bench -cluster -cluster-nodes 4 -cluster-streams-per-node 4
-//	rfipad-bench -ingest         # single-core columnar vs per-reading ingest (BENCH_ingest.json)
-//	rfipad-bench -ingest -ingest-copies 32
 //	rfipad-bench -scenarios      # scenario matrix, smoke preset (BENCH_scenarios.json)
 //	rfipad-bench -scenarios-full # scenario matrix, every axis populated
 //	rfipad-bench -scenarios -scenario-preset full
@@ -63,9 +60,7 @@ func run() int {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		parallel = flag.Int("parallel", 4, "concurrent groups")
 
-		pipeline     = flag.Bool("pipeline", false, "run only the recognition-pipeline bench")
-		pipelineJSON = flag.String("pipeline-json", "BENCH_pipeline.json", "output path for the pipeline bench report")
-		pipelineWord = flag.String("pipeline-word", "HELLO", "word the pipeline bench recognizes")
+		pipelineWord = flag.String("pipeline-word", "HELLO", "word each engine and cluster bench stream writes")
 
 		engineBench   = flag.Bool("engine", false, "run only the sharded multi-stream engine bench")
 		engineJSON    = flag.String("engine-json", "BENCH_engine.json", "output path for the engine bench report")
@@ -76,10 +71,6 @@ func run() int {
 		clusterJSON    = flag.String("cluster-json", "BENCH_cluster.json", "output path for the cluster bench report")
 		clusterNodes   = flag.Int("cluster-nodes", 3, "largest node count in the cluster scaling sweep")
 		clusterStreams = flag.Int("cluster-streams-per-node", 4, "streams per node in the cluster scaling sweep")
-
-		ingestBench  = flag.Bool("ingest", false, "run only the single-core columnar-vs-scalar ingest sweep")
-		ingestJSON   = flag.String("ingest-json", "BENCH_ingest.json", "output path for the ingest bench report")
-		ingestCopies = flag.Int("ingest-copies", 16, "workload density: interleaved replicas of the quiet capture")
 
 		scenarios     = flag.Bool("scenarios", false, "run the scenario matrix through the real pipeline (smoke preset)")
 		scenariosFull = flag.Bool("scenarios-full", false, "run the full scenario matrix (every axis populated)")
@@ -107,8 +98,6 @@ func run() int {
 		return usageError("-cluster-streams-per-node must be positive (got %d)", *clusterStreams)
 	case *pipelineWord == "":
 		return usageError("-pipeline-word must be non-empty")
-	case *ingestCopies <= 0:
-		return usageError("-ingest-copies must be positive (got %d)", *ingestCopies)
 	case *diffTol < 0:
 		return usageError("-diff-accuracy-tol must be non-negative (got %g)", *diffTol)
 	}
@@ -148,14 +137,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *pipeline {
-		if err := runPipelineBench(*seed, *pipelineWord, *pipelineJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
 	if *engineBench {
 		if err := runEngineBench(*seed, *pipelineWord, *engineStreams, *engineWorkers, *engineJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -166,14 +147,6 @@ func run() int {
 
 	if *clusterBench {
 		if err := runClusterBench(*seed, *pipelineWord, *clusterNodes, *clusterStreams, *clusterJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *ingestBench {
-		if err := runIngestBench(*seed, *ingestCopies, *ingestJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -223,10 +196,6 @@ func run() int {
 		start := time.Now()
 		res, _ := experiments.Run(e.Name, cfg)
 		fmt.Printf("=== %s (%v)\n%s\n", e.Name, time.Since(start).Round(time.Millisecond), res)
-	}
-	if err := runPipelineBench(*seed, *pipelineWord, *pipelineJSON); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
 	}
 	return 0
 }

@@ -161,7 +161,7 @@ type member struct {
 type placement struct {
 	node      NodeID
 	migrating bool
-	pending   [][]core.Reading
+	pending   []*core.ReadingBatch
 }
 
 // migration is one stream move in flight.
@@ -617,10 +617,7 @@ func (c *Cluster) finalizeSticky(m migration) {
 	c.mu.Lock()
 	p := c.placements[m.id]
 	p.migrating = false
-	pending := p.pending
-	p.pending = nil
-	node := c.memberNodeLocked(p.node)
-	c.pushPendingLocked(node, m.id, pending)
+	c.drainPendingLocked(c.memberNodeLocked(p.node), m.id, p)
 	c.mu.Unlock()
 	if m.done != nil {
 		close(m.done)
@@ -650,13 +647,12 @@ func (c *Cluster) finalize(m migration, tr *trace.StreamTrace, target NodeID, ha
 		// The adopter's lease must exist before any batch reaches it:
 		// pushes are gated on a live lease.
 		c.grantLeaseLocked(target, m.id, c.epochs[m.id])
-		pending := p.pending
-		p.pending = nil
-		node := c.memberNodeLocked(target)
-		c.pushPendingLocked(node, m.id, pending)
+		c.drainPendingLocked(c.memberNodeLocked(target), m.id, p)
 	} else {
 		// No live owner anywhere: the stream is orphaned until a node
-		// joins (a fresh placement forms on its next batch).
+		// joins (a fresh placement forms on its next batch). Batches
+		// buffered during the migration have nowhere to go: shed them.
+		c.drainPendingLocked(nil, m.id, p)
 		delete(c.placements, m.id)
 		c.tel.placed.Set(float64(len(c.placements)))
 		c.tel.orphaned.Inc()
@@ -709,36 +705,52 @@ func (c *Cluster) memberNodeLocked(id NodeID) *Node {
 	return nil
 }
 
-// pushPendingLocked drains batches buffered during a migration into
-// the (new) owner. Callers hold c.mu; engine pushes are non-blocking.
-func (c *Cluster) pushPendingLocked(node *Node, id engine.StreamID, pending [][]core.Reading) {
-	for _, batch := range pending {
-		if node == nil || !node.push(id, batch) {
-			c.tel.droppedBatches.Inc()
-			c.tel.droppedReadings.Add(uint64(len(batch)))
-		}
+// drainPendingLocked drains batches buffered during a migration into
+// the (new) owner, shedding them all when node is nil. Callers hold
+// c.mu; engine pushes are non-blocking.
+func (c *Cluster) drainPendingLocked(node *Node, id engine.StreamID, p *placement) {
+	for _, b := range p.pending {
+		c.routeLocked(node, id, b)
 	}
+	p.pending = nil
+}
+
+// routeLocked hands one batch to node, counting it as dropped when the
+// node is absent or refuses it. The batch belongs to the engine (or
+// the pool) afterwards. Callers hold c.mu.
+func (c *Cluster) routeLocked(node *Node, id engine.StreamID, b *core.ReadingBatch) bool {
+	n := b.Len()
+	if node == nil {
+		core.PutBatch(b)
+	} else if node.push(id, b) {
+		return true
+	}
+	c.tel.droppedBatches.Inc()
+	c.tel.droppedReadings.Add(uint64(n))
+	return false
 }
 
 // Push routes one batch of readings to the stream's owner. A stream
 // mid-migration buffers (bounded); a stream with no live owner sheds.
 // Returns false when the batch was shed or buffered past the bound.
-func (c *Cluster) Push(id engine.StreamID, batch []core.Reading) bool {
-	if len(batch) == 0 {
+// Ownership of the batch transfers to the cluster in every case, as
+// with engine.PushBatch: it ends in the owner's engine or back in the
+// pool, so the caller takes a fresh core.GetBatch for each push.
+func (c *Cluster) Push(id engine.StreamID, b *core.ReadingBatch) bool {
+	if b == nil || b.Len() == 0 {
+		core.PutBatch(b)
 		return true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		c.shedLocked(batch)
-		return false
+		return c.routeLocked(nil, id, b)
 	}
 	p, ok := c.placements[id]
 	if !ok {
 		owner, haveOwner := c.ring.Owner(string(id))
 		if !haveOwner {
-			c.shedLocked(batch)
-			return false
+			return c.routeLocked(nil, id, b)
 		}
 		p = &placement{node: owner}
 		c.placements[id] = p
@@ -749,26 +761,14 @@ func (c *Cluster) Push(id engine.StreamID, batch []core.Reading) bool {
 	}
 	if p.migrating {
 		if len(p.pending) >= c.cfg.PendingBatches {
-			c.shedLocked(batch)
-			return false
+			return c.routeLocked(nil, id, b)
 		}
-		p.pending = append(p.pending, batch)
+		p.pending = append(p.pending, b)
 		return true
 	}
-	node := c.memberNodeLocked(p.node)
-	if node == nil || !node.push(id, batch) {
-		// Owner unreachable (dead but not yet detected, or its mailbox
-		// is gone): shed. The failure detector will re-place the stream.
-		c.shedLocked(batch)
-		return false
-	}
-	return true
-}
-
-// shedLocked counts one dropped batch. Callers hold c.mu.
-func (c *Cluster) shedLocked(batch []core.Reading) {
-	c.tel.droppedBatches.Inc()
-	c.tel.droppedReadings.Add(uint64(len(batch)))
+	// An unreachable owner (dead but not yet detected, or its mailbox is
+	// gone) sheds; the failure detector will re-place the stream.
+	return c.routeLocked(c.memberNodeLocked(p.node), id, b)
 }
 
 // FlushStream forces a stream's pending stroke and letter out on its
@@ -812,11 +812,9 @@ func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
 		if err != nil {
 			return err
 		}
-		batch := make([]core.Reading, 0, len(reports))
-		for _, rep := range reports {
-			batch = append(batch, live.ReadingFromReport(rep))
-		}
-		c.Push(id, batch)
+		b := core.GetBatch()
+		live.AppendReports(b, reports)
+		c.Push(id, b)
 	}
 	c.FlushStream(id)
 	return nil

@@ -1,10 +1,12 @@
 package cluster_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"rfipad/internal/cluster"
+	"rfipad/internal/core"
 	"rfipad/internal/engine"
 	"rfipad/internal/obs"
 )
@@ -174,7 +176,7 @@ func TestClusterJoinRebalanceIsSticky(t *testing.T) {
 	batches, _ := synthBatches(t, 72, "I", 0)
 	ids := []engine.StreamID{"plate-0", "plate-1", "plate-2", "plate-3"}
 	for _, id := range ids {
-		c.Push(id, batches[0])
+		c.Push(id, toBatch(batches[0]))
 	}
 	for _, id := range ids {
 		if owner, _ := c.Owner(id); owner != "node-0" {
@@ -234,8 +236,127 @@ func TestClusterCloseIdempotent(t *testing.T) {
 	if len(f) != 1 || len(s) != 1 || f[0].Letters != s[0].Letters || f[0].Letters != "IT" {
 		t.Errorf("second Close diverged: first %+v, second %+v", f, s)
 	}
-	// Push after close sheds, never panics.
-	if c.Push("plate-0", batches[0]) {
+	// Push after close sheds, never panics, and is counted.
+	snap := reg.Snapshot()
+	b0, r0 := snap.Value("cluster_dropped_batches_total"), snap.Value("cluster_dropped_readings_total")
+	if c.Push("plate-0", toBatch(batches[0])) {
 		t.Error("Push accepted a batch after Close")
+	}
+	if b, r := droppedSince(reg, b0, r0); b != 1 || r != float64(len(batches[0])) {
+		t.Errorf("after close: dropped %v batches / %v readings, want 1 / %d", b, r, len(batches[0]))
+	}
+}
+
+// droppedSince reports the router's dropped batch and reading counters
+// relative to an earlier snapshot.
+func droppedSince(reg *obs.Registry, batches0, readings0 float64) (batches, readings float64) {
+	snap := reg.Snapshot()
+	return snap.Value("cluster_dropped_batches_total") - batches0,
+		snap.Value("cluster_dropped_readings_total") - readings0
+}
+
+// TestClusterPushShedsAndCounts pins the router's ownerless shed path:
+// a push with no live owner is refused and counted batch for batch,
+// reading for reading, while nil and empty batches are no-ops.
+func TestClusterPushShedsAndCounts(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := cluster.New(fastConfig(reg))
+	defer c.Close()
+	batches, _ := synthBatches(t, 74, "I", 0)
+	n := float64(len(batches[0]))
+
+	// No members: the ring has no owner for the stream.
+	if c.Push("plate-0", toBatch(batches[0])) {
+		t.Error("Push accepted a batch with an empty ring")
+	}
+	if b, r := droppedSince(reg, 0, 0); b != 1 || r != n {
+		t.Errorf("ownerless push: dropped %v batches / %v readings, want 1 / %v", b, r, n)
+	}
+	if !c.Push("plate-0", nil) || !c.Push("plate-0", core.GetBatch()) {
+		t.Error("empty batch reported shed")
+	}
+	if b, _ := droppedSince(reg, 0, 0); b != 1 {
+		t.Errorf("empty pushes counted as dropped: %v batches, want 1", b)
+	}
+}
+
+// TestClusterOrphanedMigrationCountsPending buffers pushes behind a
+// graceful handoff whose only possible target is gone: the sole member
+// leaves, so the migration finds an empty ring and orphans the stream.
+// Pushes past PendingBatches shed on arrival; the buffered ones shed at
+// finalize. Every one of them must land on the dropped counters.
+func TestClusterOrphanedMigrationCountsPending(t *testing.T) {
+	reg := obs.NewRegistry()
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	cfg := fastConfig(reg)
+	cfg.PendingBatches = 2
+	cfg.OnEvent = func(cluster.NodeID, engine.StreamID, core.Event) {
+		// Park the node's only shard on the first event, so the handoff's
+		// evict waits in its mailbox and the migration stays in flight.
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	c := cluster.New(cfg)
+	defer c.Close()
+	if _, err := c.AddNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	const id = engine.StreamID("plate-0")
+	batches, _ := synthBatches(t, 75, "IT", 0)
+	pushAll(c, id, batches)
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream emitted no event")
+	}
+
+	left := make(chan error, 1)
+	go func() {
+		_, err := c.Leave("node-0")
+		left <- err
+	}()
+	waitFor(t, 5*time.Second, "node-0 out of the ring", func() bool { return len(c.Members()) == 0 })
+
+	snap := reg.Snapshot()
+	b0, r0 := snap.Value("cluster_dropped_batches_total"), snap.Value("cluster_dropped_readings_total")
+	extra, _ := synthLetters(t, 75, "LC", 0)
+	if len(extra) < 3 {
+		t.Fatalf("capture has %d batches, want at least 3", len(extra))
+	}
+	var buffered float64
+	for k, rep := range extra[:3] {
+		accepted := c.Push(id, toBatch(rep))
+		if k < cfg.PendingBatches {
+			buffered += float64(len(rep))
+			if !accepted {
+				t.Fatalf("push %d shed with room in the pending buffer", k)
+			}
+		} else if accepted {
+			t.Fatalf("push %d accepted past PendingBatches=%d", k, cfg.PendingBatches)
+		}
+	}
+	over := float64(len(extra[2]))
+	if b, r := droppedSince(reg, b0, r0); b != 1 || r != over {
+		t.Errorf("pending overflow: dropped %v batches / %v readings, want 1 / %v", b, r, over)
+	}
+
+	close(release)
+	select {
+	case err := <-left:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Leave did not return")
+	}
+	if v := reg.Snapshot().Value("cluster_streams_orphaned_total"); v != 1 {
+		t.Errorf("cluster_streams_orphaned_total = %v, want 1", v)
+	}
+	if b, r := droppedSince(reg, b0, r0); b != 3 || r != buffered+over {
+		t.Errorf("after orphaning: dropped %v batches / %v readings, want 3 / %v", b, r, buffered+over)
 	}
 }

@@ -9,14 +9,15 @@ import (
 	"rfipad/internal/core"
 	"rfipad/internal/engine"
 	"rfipad/internal/live"
+	"rfipad/internal/llrp"
 	"rfipad/internal/replay"
 )
 
 // synthBatches synthesizes a full RFIPad capture (static prelude +
 // word), optionally time-shifted, and chunks it into push-sized
-// batches of readings. maxTS is the largest timestamp in the capture
+// report slices (toBatch turns one into a pushable batch). maxTS is the largest timestamp in the capture
 // (post-shift), for chaining phases on one stream clock.
-func synthBatches(t testing.TB, seed int64, word string, shift time.Duration) (batches [][]core.Reading, maxTS time.Duration) {
+func synthBatches(t testing.TB, seed int64, word string, shift time.Duration) (batches [][]llrp.TagReport, maxTS time.Duration) {
 	return synth(t, seed, word, shift, false)
 }
 
@@ -24,11 +25,11 @@ func synthBatches(t testing.TB, seed int64, word string, shift time.Duration) (b
 // written letters remain, so a stream fed this capture can never
 // calibrate live — recognizing it proves the calibration arrived via
 // checkpoint handoff.
-func synthLetters(t testing.TB, seed int64, word string, shift time.Duration) (batches [][]core.Reading, maxTS time.Duration) {
+func synthLetters(t testing.TB, seed int64, word string, shift time.Duration) (batches [][]llrp.TagReport, maxTS time.Duration) {
 	return synth(t, seed, word, shift, true)
 }
 
-func synth(t testing.TB, seed int64, word string, shift time.Duration, stripPrelude bool) (batches [][]core.Reading, maxTS time.Duration) {
+func synth(t testing.TB, seed int64, word string, shift time.Duration, stripPrelude bool) (batches [][]llrp.TagReport, maxTS time.Duration) {
 	t.Helper()
 	const prelude = 3 * time.Second
 	reports, err := replay.Synthesize(seed, word, prelude)
@@ -36,7 +37,7 @@ func synth(t testing.TB, seed int64, word string, shift time.Duration, stripPrel
 		t.Fatal(err)
 	}
 	const chunk = 400
-	var batch []core.Reading
+	var batch []llrp.TagReport
 	for _, rep := range reports {
 		if stripPrelude && rep.Timestamp <= prelude {
 			continue
@@ -45,7 +46,7 @@ func synth(t testing.TB, seed int64, word string, shift time.Duration, stripPrel
 		if rep.Timestamp > maxTS {
 			maxTS = rep.Timestamp
 		}
-		batch = append(batch, live.ReadingFromReport(rep))
+		batch = append(batch, rep)
 		if len(batch) == chunk {
 			batches = append(batches, batch)
 			batch = nil
@@ -95,9 +96,17 @@ func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out after %v waiting for %s", timeout, what)
 }
 
+// toBatch decodes one chunk of reports into a fresh pooled batch: a
+// pushed batch belongs to the cluster, so every push needs its own.
+func toBatch(reports []llrp.TagReport) *core.ReadingBatch {
+	b := core.GetBatch()
+	live.AppendReports(b, reports)
+	return b
+}
+
 // pushAll feeds every batch of one capture phase into the cluster.
-func pushAll(c *cluster.Cluster, id engine.StreamID, batches [][]core.Reading) {
+func pushAll(c *cluster.Cluster, id engine.StreamID, batches [][]llrp.TagReport) {
 	for _, b := range batches {
-		c.Push(id, b)
+		c.Push(id, toBatch(b))
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,47 +98,74 @@ func TestRestoreCalibrationRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestSanitizerAdmit runs AdmitColumns over a table of batches: the
+// one-element cases pin each rejection reason and each pass-through
+// boundary, and the multi-element case pins that newest advances over
+// admitted readings inside the batch.
 func TestSanitizerAdmit(t *testing.T) {
-	reg := obs.NewRegistry()
-	san := NewSanitizer(reg)
-	good := Reading{TagIndex: 0, Time: 5 * time.Second, Phase: 1.2, RSS: -60}
-
-	if !san.Admit(good, 5*time.Second) {
-		t.Fatal("clean reading rejected")
+	rd := func(at time.Duration, phase, rss float64) Reading {
+		return Reading{Time: at, Phase: phase, RSS: rss}
 	}
-
 	cases := []struct {
 		name   string
-		rd     Reading
+		batch  []Reading
 		newest time.Duration
-		reason string
+		want   []time.Duration // admitted timestamps, in order
+		reason string          // rejection reason counted (empty: none)
+		count  float64         // rejections counted under reason
 	}{
-		{"nan phase", Reading{Time: 5 * time.Second, Phase: math.NaN(), RSS: -60}, 5 * time.Second, "phase"},
-		{"+inf phase", Reading{Time: 5 * time.Second, Phase: math.Inf(1), RSS: -60}, 5 * time.Second, "phase"},
-		{"rss too low", Reading{Time: 5 * time.Second, Phase: 1, RSS: -150}, 5 * time.Second, "rss"},
-		{"rss positive", Reading{Time: 5 * time.Second, Phase: 1, RSS: 3}, 5 * time.Second, "rss"},
-		{"clock regression", Reading{Time: time.Second, Phase: 1, RSS: -60}, 10 * time.Second, "time_regression"},
+		{"clean", []Reading{rd(5*time.Second, 1.2, -60)}, 5 * time.Second,
+			[]time.Duration{5 * time.Second}, "", 0},
+		{"nan phase", []Reading{rd(5*time.Second, math.NaN(), -60)}, 5 * time.Second, nil, "phase", 1},
+		{"+inf phase", []Reading{rd(5*time.Second, math.Inf(1), -60)}, 5 * time.Second, nil, "phase", 1},
+		{"rss too low", []Reading{rd(5*time.Second, 1, -150)}, 5 * time.Second, nil, "rss", 1},
+		{"rss positive", []Reading{rd(5*time.Second, 1, 3)}, 5 * time.Second, nil, "rss", 1},
+		{"clock regression", []Reading{rd(time.Second, 1, -60)}, 10 * time.Second, nil, "time_regression", 1},
+		// Within the duplicate window: modest regression is reordering,
+		// not a broken clock, and passes through to the recognizer's
+		// dedup.
+		{"inside regression window", []Reading{rd(9500*time.Millisecond, 1, -60)}, 10 * time.Second,
+			[]time.Duration{9500 * time.Millisecond}, "", 0},
+		// Before any delivery (newest == 0) nothing can regress.
+		{"first reading", []Reading{rd(0, 1, -60)}, 0, []time.Duration{0}, "", 0},
+		// newest advances to 10 s on the second reading, so 9.5 s is
+		// reordering but 5 s regresses — though both are newer than the
+		// 2 s the batch started from.
+		{"newest advances in batch", []Reading{
+			rd(3*time.Second, 1, -60), rd(10*time.Second, 1, -60),
+			rd(9500*time.Millisecond, 1, -60), rd(5*time.Second, 1, -60),
+		}, 2 * time.Second,
+			[]time.Duration{3 * time.Second, 10 * time.Second, 9500 * time.Millisecond},
+			"time_regression", 1},
 	}
+	reasons := []string{"phase", "rss", "time_regression"}
 	for _, tc := range cases {
-		before := reg.Snapshot().Value("readings_rejected_total", obs.L("reason", tc.reason))
-		if san.Admit(tc.rd, tc.newest) {
-			t.Errorf("%s: admitted", tc.name)
-			continue
-		}
-		after := reg.Snapshot().Value("readings_rejected_total", obs.L("reason", tc.reason))
-		if after != before+1 {
-			t.Errorf("%s: readings_rejected_total{reason=%q} = %v, want %v", tc.name, tc.reason, after, before+1)
-		}
-	}
-
-	// Within the duplicate window: modest regression is reordering, not
-	// a broken clock, and passes through to the recognizer's dedup.
-	if !san.Admit(Reading{Time: 9500 * time.Millisecond, Phase: 1, RSS: -60}, 10*time.Second) {
-		t.Error("reading inside the regression window rejected")
-	}
-	// Before any delivery (newest == 0) nothing can regress.
-	if !san.Admit(Reading{Time: 0, Phase: 1, RSS: -60}, 0) {
-		t.Error("first reading rejected")
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			san := NewSanitizer(reg)
+			b := &ReadingBatch{}
+			for _, r := range tc.batch {
+				b.AppendReading(r)
+			}
+			san.AdmitColumns(b, tc.newest)
+			if !slices.Equal(b.Times, tc.want) {
+				t.Errorf("admitted %v, want %v", b.Times, tc.want)
+			}
+			if n := b.Len(); len(b.Phases) != n || len(b.RSS) != n || len(b.TagIndices) != n {
+				t.Errorf("columns diverged: %d times, %d phases, %d rss, %d tags",
+					n, len(b.Phases), len(b.RSS), len(b.TagIndices))
+			}
+			snap := reg.Snapshot()
+			for _, reason := range reasons {
+				want := 0.0
+				if reason == tc.reason {
+					want = tc.count
+				}
+				if got := snap.Value("readings_rejected_total", obs.L("reason", reason)); got != want {
+					t.Errorf("readings_rejected_total{reason=%q} = %v, want %v", reason, got, want)
+				}
+			}
+		})
 	}
 }
 

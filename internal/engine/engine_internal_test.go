@@ -29,6 +29,14 @@ func TestShardIndexStableAndBounded(t *testing.T) {
 	}
 }
 
+// oneReading returns a fresh pooled batch holding one reading: a pushed
+// batch belongs to the engine, so every push needs its own.
+func oneReading() *core.ReadingBatch {
+	b := core.GetBatch()
+	b.Append(time.Millisecond, 1, -60, 0)
+	return b
+}
+
 // TestPushOverflowDropsAndCounts fills a 1-deep mailbox with no worker
 // draining it and checks the overflow path: the batch is shed, not
 // blocked on, and the counters record exactly what was lost.
@@ -39,19 +47,18 @@ func TestPushOverflowDropsAndCounts(t *testing.T) {
 	e := &Engine{cfg: Config{Workers: 1, QueueDepth: 1}.withDefaults(), tel: newTelemetry(reg)}
 	e.shards = []*shard{{eng: e, mail: make(chan item, 1), stop: make(chan struct{}), streams: map[StreamID]*streamState{}}}
 
-	batch := []core.Reading{{TagIndex: 0, Time: time.Millisecond}}
-	if !e.Push("s", batch) {
+	if !e.PushBatch("s", oneReading()) {
 		t.Fatal("first push should fit the mailbox")
 	}
 	done := make(chan bool, 1)
-	go func() { done <- e.Push("s", batch) }()
+	go func() { done <- e.PushBatch("s", oneReading()) }()
 	select {
 	case ok := <-done:
 		if ok {
 			t.Error("second push reported accepted with a full mailbox")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Push blocked on a full mailbox — backpressure must shed, not stall")
+		t.Fatal("PushBatch blocked on a full mailbox — backpressure must shed, not stall")
 	}
 	if got := e.tel.overflow.Value(); got != 1 {
 		t.Errorf("engine_overflow_total = %d, want 1", got)
@@ -60,25 +67,42 @@ func TestPushOverflowDropsAndCounts(t *testing.T) {
 		t.Errorf("engine_dropped_readings_total = %d, want 1", got)
 	}
 
-	// After Close begins, Push load-sheds immediately too.
+	// After Close begins, both push flavours load-shed immediately and
+	// count what they shed.
 	e.closed.Store(true)
-	if e.Push("s", batch) {
+	if e.PushBatch("s", oneReading()) {
 		t.Error("push into a closed engine reported accepted")
 	}
-	if got := e.tel.overflow.Value(); got != 2 {
-		t.Errorf("engine_overflow_total after closed push = %d, want 2", got)
+	if e.PushBatchWait("s", oneReading()) {
+		t.Error("blocking push into a closed engine reported accepted")
+	}
+	if got := e.tel.overflow.Value(); got != 3 {
+		t.Errorf("engine_overflow_total after closed pushes = %d, want 3", got)
+	}
+	if got := e.tel.droppedR.Value(); got != 3 {
+		t.Errorf("engine_dropped_readings_total after closed pushes = %d, want 3", got)
 	}
 }
 
-// TestPushEmptyBatchIsNoop guards the fast path: zero-length batches
-// are accepted without touching the mailbox or counters.
+// TestPushEmptyBatchIsNoop guards the fast path: nil and zero-length
+// batches are accepted without touching the mailbox or counters.
 func TestPushEmptyBatchIsNoop(t *testing.T) {
 	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
 	defer e.Close()
-	if !e.Push("s", nil) {
-		t.Error("empty batch rejected")
+	for name, push := range map[string]func(StreamID, *core.ReadingBatch) bool{
+		"PushBatch": e.PushBatch, "PushBatchWait": e.PushBatchWait,
+	} {
+		if !push("s", nil) {
+			t.Errorf("%s rejected a nil batch", name)
+		}
+		if !push("s", core.GetBatch()) {
+			t.Errorf("%s rejected an empty batch", name)
+		}
 	}
 	if got := e.tel.batches.Value(); got != 0 {
 		t.Errorf("engine_batches_total = %d, want 0", got)
+	}
+	if got := e.tel.overflow.Value(); got != 0 {
+		t.Errorf("engine_overflow_total = %d, want 0", got)
 	}
 }

@@ -136,12 +136,14 @@ func TestEngineCalibrationFailureIsolated(t *testing.T) {
 
 	// All readings on one tag: every other tag is dead, which
 	// Calibrate rejects.
-	bad := make([]core.Reading, 0, 4000)
+	bad := core.GetBatch()
 	for i := 0; i < 4000; i++ {
-		bad = append(bad, core.Reading{TagIndex: 0, Time: time.Duration(i) * time.Millisecond, Phase: 1})
+		bad.Append(time.Duration(i)*time.Millisecond, 1, 0, 0)
 	}
-	eng.Push("bad", bad)
-	eng.Push("bad", []core.Reading{{TagIndex: 0, Time: 4001 * time.Millisecond}})
+	eng.PushBatch("bad", bad)
+	late := core.GetBatch()
+	late.Append(4001*time.Millisecond, 0, 0, 0)
+	eng.PushBatch("bad", late)
 
 	src := newReplaySource(t, 30, "IT", reg)
 	if err := eng.RunStream("good", src); err != nil {

@@ -15,13 +15,12 @@ import (
 	"rfipad/internal/supervise"
 )
 
-// toReadings converts synthesized reports into push-ready readings.
-func toReadings(reports []llrp.TagReport) []core.Reading {
-	out := make([]core.Reading, 0, len(reports))
-	for _, rep := range reports {
-		out = append(out, live.ReadingFromReport(rep))
-	}
-	return out
+// toBatch decodes synthesized reports into a fresh pooled batch; the
+// engine owns it once pushed.
+func toBatch(reports []llrp.TagReport) *core.ReadingBatch {
+	b := core.GetBatch()
+	live.AppendReports(b, reports)
+	return b
 }
 
 // TestEngineCloseIdempotent pins the shutdown contract: the second
@@ -44,8 +43,8 @@ func TestEngineCloseIdempotent(t *testing.T) {
 		t.Errorf("second Close diverged: %+v vs %+v", second, first)
 	}
 	// The engine stays safely inert after close.
-	if eng.Push("plate-0", []core.Reading{{}}) {
-		t.Error("Push accepted a batch after Close")
+	if eng.PushBatch("plate-0", toBatch(make([]llrp.TagReport, 1))) {
+		t.Error("PushBatch accepted a batch after Close")
 	}
 	if _, ok := eng.EvictStream("plate-0"); ok {
 		t.Error("EvictStream succeeded after Close")
@@ -145,7 +144,7 @@ func TestEngineAdoptRejectsUncalibratedStream(t *testing.T) {
 	for cut < len(reports) && reports[cut].Timestamp < 500*time.Millisecond {
 		cut++
 	}
-	if !eng.PushWait("plate-0", toReadings(reports[:cut])) {
+	if !eng.PushBatchWait("plate-0", toBatch(reports[:cut])) {
 		t.Fatal("push rejected")
 	}
 	eng.FlushStream("plate-0") // barrier: the batch is processed
@@ -197,7 +196,7 @@ func TestEngineRestoreOutcomeCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eng.PushWait("plate-0", toReadings(batch[:50])) {
+		if !eng.PushBatchWait("plate-0", toBatch(batch[:50])) {
 			t.Fatal("push rejected")
 		}
 		eng.FlushStream("plate-0") // barrier: stream creation happened

@@ -8,7 +8,6 @@ import (
 
 	"rfipad/internal/core"
 	"rfipad/internal/engine"
-	"rfipad/internal/live"
 	"rfipad/internal/llrp"
 	"rfipad/internal/obs"
 	"rfipad/internal/replay"
@@ -214,10 +213,13 @@ func TestEngineCheckpointRestoreSkipsPrelude(t *testing.T) {
 // event handler and an effectively zero drain budget, Close must
 // abandon the queued backlog (counting it) instead of processing every
 // pending batch — shutdown latency is bounded by DrainTimeout, not by
-// queue depth.
+// queue depth. Control items (a flush, an evict) queued behind the
+// backlog are abandoned too: the evict caller gets ok=false instead of
+// hanging, and the shard survives items that carry no readings.
 func TestEngineDrainDeadlineAbandonsBacklog(t *testing.T) {
 	reg := obs.NewRegistry()
 	release := make(chan struct{})
+	parked := make(chan struct{})
 	var once sync.Once
 	eng := engine.New(engine.Config{
 		Workers:      1,
@@ -226,7 +228,10 @@ func TestEngineDrainDeadlineAbandonsBacklog(t *testing.T) {
 		OnEvent: func(engine.StreamID, core.Event) {
 			// Park the shard on the first event so the mailbox backs up
 			// behind it until Close's drain deadline has long expired.
-			once.Do(func() { <-release })
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
 		},
 	})
 
@@ -234,17 +239,25 @@ func TestEngineDrainDeadlineAbandonsBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readings := make([]core.Reading, len(reports))
-	for i, rep := range reports {
-		readings[i] = live.ReadingFromReport(rep)
-	}
 	const chunk = 200
-	for i := 0; i < len(readings); i += chunk {
-		end := min(i+chunk, len(readings))
-		batch := make([]core.Reading, end-i)
-		copy(batch, readings[i:end])
-		eng.Push("plate-0", batch)
+	for i := 0; i < len(reports); i += chunk {
+		eng.PushBatch("plate-0", toBatch(reports[i:min(i+chunk, len(reports))]))
 	}
+	// The flush queues behind the backlog (or fires the first event
+	// itself); the evict is enqueued once the shard is parked, so it
+	// can only be answered by the drain's abandon path.
+	eng.FlushStream("plate-0")
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("shard never emitted an event")
+	}
+	evicted := make(chan bool, 1)
+	go func() {
+		_, ok := eng.EvictStream("plate-0")
+		evicted <- ok
+	}()
+	time.Sleep(20 * time.Millisecond)
 
 	go func() {
 		// Give Close time to enter the drain loop, then unpark the
@@ -258,6 +271,14 @@ func TestEngineDrainDeadlineAbandonsBacklog(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close did not return — drain deadline not enforced")
+	}
+	select {
+	case ok := <-evicted:
+		if ok {
+			t.Error("EvictStream queued behind an abandoned backlog reported ok=true")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("EvictStream queued behind the backlog never returned")
 	}
 
 	snap := reg.Snapshot()

@@ -291,9 +291,7 @@ func Run(sess ReportSource, cfg Config) (Result, error) {
 	}
 	// The drain loop is columnar end to end: each report batch decodes
 	// straight into one reused ReadingBatch, is sanitized in place, and
-	// flows to the stream in a single IngestBatch call — the per-reading
-	// loop this replaces made every reading pay the full call-chain
-	// overhead.
+	// flows to the stream in a single IngestBatch call.
 	cols := core.GetBatch()
 	defer core.PutBatch(cols)
 	for {

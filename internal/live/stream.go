@@ -30,25 +30,11 @@ func NewStream(cfg Config) *Stream {
 	return &Stream{cfg: cfg.withDefaults()}
 }
 
-// ReadingFromReport converts one wire-format tag report into the
-// pipeline's reading record, resolving the EPC to its row-major tag
-// index.
-func ReadingFromReport(rep llrp.TagReport) core.Reading {
-	return core.Reading{
-		TagIndex: tagmodel.SerialOf(rep.EPC) - 1,
-		EPC:      rep.EPC,
-		Time:     rep.Timestamp,
-		Phase:    rep.PhaseRad,
-		RSS:      rep.RSSdBm,
-		Doppler:  rep.DopplerHz,
-	}
-}
-
 // AppendReports decodes wire-format tag reports straight into a
-// columnar batch — the batch counterpart of calling ReadingFromReport
-// per report, without materializing intermediate Reading records. EPC
-// and Doppler are resolved and dropped here (the batch columns do not
-// carry them; the tag index is all downstream stages key on).
+// columnar batch, resolving each EPC to its row-major tag index — the
+// one conversion from the wire representation to the pipeline's. EPC
+// and Doppler are dropped here (the batch columns do not carry them;
+// the tag index is all downstream stages key on).
 func AppendReports(dst *core.ReadingBatch, reports []llrp.TagReport) {
 	for i := range reports {
 		rep := &reports[i]
@@ -57,15 +43,14 @@ func AppendReports(dst *core.ReadingBatch, reports []llrp.TagReport) {
 	}
 }
 
-// IngestBatch feeds a columnar batch of readings, with element-for-
-// element the same behavior as calling Ingest per reading: readings up
-// to the calibration boundary accumulate into the static prelude (the
-// reading that completes CalibDuration triggers calibration and is part
-// of the prelude, not the recognized stream), and everything after the
-// boundary flows to the recognizer in one columnar call. The batch is
-// only read, never retained. On a calibration error the remaining
-// readings are dropped, exactly as a per-reading caller would stop
-// feeding a terminally failed stream.
+// IngestBatch feeds a columnar batch of readings. While the prelude is
+// still accumulating it returns no events: readings up to the
+// calibration boundary buffer into the static prelude, and the reading
+// that completes CalibDuration triggers calibration (it is part of the
+// prelude, not the recognized stream). Everything after the boundary
+// flows to the recognizer in one columnar call. The batch is only read,
+// never retained. A calibration error is terminal for the stream; the
+// batch's remaining readings are dropped.
 func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 	n := b.Len()
 	i := 0
@@ -99,33 +84,6 @@ func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 		}
 	}
 	return s.rec.IngestBatch(&rest), nil
-}
-
-// Ingest feeds one reading. While the prelude is still accumulating it
-// returns no events; once the prelude covers CalibDuration it
-// calibrates (an error here is terminal for the stream) and every
-// later reading streams through the recognizer.
-func (s *Stream) Ingest(rd core.Reading) ([]core.Event, error) {
-	if rd.Time > s.lastTime {
-		s.lastTime = rd.Time
-	}
-	if s.rec == nil {
-		s.static = append(s.static, rd)
-		if rd.Time < s.cfg.CalibDuration {
-			return nil, nil
-		}
-		cal, err := core.Calibrate(s.static, s.cfg.Grid.NumTags())
-		if err != nil {
-			return nil, fmt.Errorf("live: calibration failed: %w", err)
-		}
-		s.cal = cal
-		s.static = nil
-		pipe := core.NewPipeline(s.cfg.Grid, cal)
-		pipe.Obs = s.cfg.Obs
-		s.rec = core.NewRecognizer(pipe, nil)
-		return nil, nil
-	}
-	return s.rec.Ingest(rd), nil
 }
 
 // Flush declares the stream over, forcing any pending stroke and

@@ -81,25 +81,18 @@ if ! grep 'BenchmarkIngestBatch' bench_smoke.txt | grep -q ' 0 allocs/op'; then
     exit 1
 fi
 
-# Bench reports: stash the committed baselines, regenerate each report,
-# then print a field-by-field before/after comparison. The diff is
-# informational (machine noise would make a hard threshold flaky); the
-# uploaded artifacts and the committed baselines carry the numbers.
-echo '== bench reports (BENCH_engine / BENCH_cluster / BENCH_ingest)'
-for name in engine cluster ingest; do
-    if [ -f "BENCH_${name}.json" ]; then
-        cp "BENCH_${name}.json" "BENCH_${name}.baseline.json"
-    fi
-done
-go run ./cmd/rfipad-bench -engine -engine-streams 8 -engine-json BENCH_engine.json
-go run ./cmd/rfipad-bench -cluster -cluster-nodes 3 -cluster-json BENCH_cluster.json
-go run ./cmd/rfipad-bench -ingest -ingest-json BENCH_ingest.json
-for name in engine cluster ingest; do
-    if [ -f "BENCH_${name}.baseline.json" ]; then
-        echo "== bench diff: ${name} (committed baseline -> this run)"
-        go run ./cmd/rfipad-bench -diff "BENCH_${name}.baseline.json" "BENCH_${name}.json"
-        rm -f "BENCH_${name}.baseline.json"
-    fi
+# Bench reports: regenerate each report into a fresh BENCH_<name>.ci.json
+# (uploaded as an artifact; the committed baselines are never
+# overwritten), then print a field-by-field committed -> fresh
+# comparison. The diff is informational (machine noise would make a
+# hard threshold flaky); the gated per-layer performance report is
+# perfbench's (bash perfbench/run.sh).
+echo '== bench reports (BENCH_engine / BENCH_cluster)'
+go run ./cmd/rfipad-bench -engine -engine-streams 8 -engine-json BENCH_engine.ci.json
+go run ./cmd/rfipad-bench -cluster -cluster-nodes 3 -cluster-json BENCH_cluster.ci.json
+for name in engine cluster; do
+    echo "== bench diff: ${name} (committed baseline -> this run)"
+    go run ./cmd/rfipad-bench -diff "BENCH_${name}.json" "BENCH_${name}.ci.json"
 done
 
 # Scenario-matrix accuracy gate: rerun the smoke matrix through the
