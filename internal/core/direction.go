@@ -31,17 +31,25 @@ type TagTrough struct {
 // series of the given tags and returns the troughs found, ordered by
 // time — the sequence of tags the hand passed (§III-B).
 func FindTagTroughs(readings []Reading, numTags int, tags []int) []TagTrough {
-	series := byTag(readings, numTags)
+	out, _ := findTroughs(byTag(readings, numTags), tags, nil)
+	return out
+}
+
+// findTroughs is FindTagTroughs over an already-split window (one
+// time-sorted, deduplicated series per tag, as byTag builds it), with
+// buf as the reused RSS sample workspace; it returns the troughs and
+// the possibly grown workspace. Tags outside the split are skipped.
+func findTroughs(series [][]Reading, tags []int, buf []dsp.TimedSample) ([]TagTrough, []dsp.TimedSample) {
 	var out []TagTrough
 	for _, i := range tags {
-		if i < 0 || i >= numTags {
+		if i < 0 || i >= len(series) {
 			continue
 		}
-		samples := make([]dsp.TimedSample, len(series[i]))
-		for j, r := range series[i] {
-			samples[j] = dsp.TimedSample{T: r.Time, V: r.RSS}
+		buf = buf[:0]
+		for _, r := range series[i] {
+			buf = append(buf, dsp.TimedSample{T: r.Time, V: r.RSS})
 		}
-		tr, ok := dsp.FindTrough(samples, troughSmoothWidth, troughMinDepthDB)
+		tr, ok := dsp.FindTrough(buf, troughSmoothWidth, troughMinDepthDB)
 		if !ok {
 			continue
 		}
@@ -53,7 +61,7 @@ func FindTagTroughs(readings []Reading, numTags int, tags []int) []TagTrough {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out
+	return out, buf
 }
 
 // EstimateDirection fits the hand's travel direction across the
@@ -62,8 +70,14 @@ func FindTagTroughs(readings []Reading, numTags int, tags []int) []TagTrough {
 // fewer than two usable troughs.
 func EstimateDirection(readings []Reading, grid Grid, fgTags []int) (dir geo.Vec2, troughs []TagTrough, ok bool) {
 	troughs = FindTagTroughs(readings, grid.NumTags(), fgTags)
+	dir, ok = fitDirection(grid, troughs)
+	return dir, troughs, ok
+}
+
+// fitDirection is EstimateDirection's fit over troughs already found.
+func fitDirection(grid Grid, troughs []TagTrough) (geo.Vec2, bool) {
 	if len(troughs) < 2 {
-		return geo.Vec2{}, troughs, false
+		return geo.Vec2{}, false
 	}
 	// Depth-weighted least squares of position against trough time.
 	var wSum, tMean float64
@@ -90,13 +104,13 @@ func EstimateDirection(readings []Reading, grid Grid, fgTags []int) (dir geo.Vec
 		den += tr.DepthDB * dt * dt
 	}
 	if den <= 1e-12 {
-		return geo.Vec2{}, troughs, false
+		return geo.Vec2{}, false
 	}
 	v := geo.V2(num.X/den, num.Y/den)
 	if v.Norm() < 1e-9 {
-		return geo.Vec2{}, troughs, false
+		return geo.Vec2{}, false
 	}
-	return v.Unit(), troughs, true
+	return v.Unit(), true
 }
 
 // arcEndpointsDirection estimates the travel direction for arcs, where

@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"rfipad/internal/dsp"
 	"rfipad/internal/geo"
 	"rfipad/internal/stroke"
 )
@@ -161,5 +163,149 @@ func TestArcEndpointsDirection(t *testing.T) {
 	same := []TagTrough{{TagIndex: 5, At: 0}, {TagIndex: 5, At: time.Second}}
 	if _, ok := arcEndpointsDirection(g, same); ok {
 		t.Error("zero displacement should fail")
+	}
+}
+
+// synthPass builds one stroke window in which the hand passes over the
+// tags of path in order: each visited tag shows a phase excursion and
+// an RSS trough around its visit time, every other tag only noise. A
+// few reports are duplicated or delivered late, as a reconnecting
+// transport does, so the per-tag split has to sort and deduplicate.
+func synthPass(grid Grid, path []int, centres []float64, seed int64) []Reading {
+	rng := rand.New(rand.NewSource(seed))
+	const gap = 250 * time.Millisecond
+	visit := map[int]time.Duration{}
+	for k, i := range path {
+		visit[i] = time.Duration(k+1) * gap
+	}
+	total := time.Duration(len(path)+1) * gap
+	var out []Reading
+	for tm := time.Duration(0); tm < total; tm += 20 * time.Millisecond {
+		for i := 0; i < grid.NumTags(); i++ {
+			p := centres[i] + rng.NormFloat64()*0.04
+			rss := -45 + rng.NormFloat64()*0.4
+			if at, ok := visit[i]; ok {
+				d := (tm - at).Seconds() / 0.12
+				g := math.Exp(-d * d)
+				p += 1.5 * g
+				rss -= 9 * g
+			}
+			r := Reading{TagIndex: i, Time: tm + time.Duration(i)*100*time.Microsecond, Phase: dsp.Wrap(p), RSS: rss}
+			out = append(out, r)
+			switch rng.Intn(40) {
+			case 0: // duplicated report: same tag and time, first one wins
+				r.RSS -= 20
+				out = append(out, r)
+			case 1: // late report: lands after a later reading of its tag
+				if len(out) > 3*grid.NumTags() {
+					k := len(out) - 1 - grid.NumTags()
+					out[k], out[len(out)-1] = out[len(out)-1], out[k]
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestRecognizeWindowTroughsMatchFindTagTroughs pins the trough stage
+// of RecognizeWindow, which reuses the per-tag split the disturbance
+// map already made, to the public FindTagTroughs/EstimateDirection over
+// a fresh grid-sized split of the same window.
+func TestRecognizeWindowTroughsMatchFindTagTroughs(t *testing.T) {
+	g := Grid{Rows: 5, Cols: 5}
+	n := g.NumTags()
+	centres := evenCentres(n)
+	cal, err := Calibrate(synthStatic(n, 60, centres, constSigmas(n, 0.04), 51), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second calibration with tag 12 dead exercises the interpolated
+	// image; the split still has one series per grid tag.
+	var holed []Reading
+	for _, r := range synthStatic(n, 60, centres, constSigmas(n, 0.04), 52) {
+		if r.TagIndex != 12 {
+			holed = append(holed, r)
+		}
+	}
+	deadCal, err := Calibrate(holed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := [][]int{
+		{2, 7, 12, 17, 22},   // vertical, upward
+		{22, 17, 12, 7, 2},   // vertical, downward
+		{10, 11, 12, 13, 14}, // horizontal
+		{0, 6, 12, 18, 24},   // diagonal
+		{20, 16, 12, 8, 4},   // anti-diagonal
+		{21, 17, 11, 7, 1},   // arc-like bend
+		{12},                 // click
+	}
+	withTroughs := 0
+	for _, c := range []*Calibration{cal, deadCal} {
+		p := NewPipeline(g, c)
+		for k, path := range paths {
+			readings := synthPass(g, path, centres, int64(60+k))
+			res := p.RecognizeWindow(readings)
+
+			vals := InterpolateDead(g, DisturbanceMap(readings, c, DisturbanceOptions{}), c.Dead)
+			mask := LargestComponent(g, NewGridImage(g, vals).Binarize(), vals)
+			shape := ClassifyShapeDegraded(g, vals, mask, c.Dead)
+			if !shape.Ok {
+				if res.Ok || res.Troughs != nil {
+					t.Errorf("path %v: unclassified window still produced %+v", path, res)
+				}
+				continue
+			}
+			want := FindTagTroughs(readings, g.NumTags(), shape.Cells)
+			if !reflect.DeepEqual(res.Troughs, want) {
+				t.Errorf("path %v: RecognizeWindow troughs %+v, FindTagTroughs %+v", path, res.Troughs, want)
+			}
+			if len(want) >= 2 {
+				withTroughs++
+			}
+			if shape.Shape == stroke.Click || shape.Shape == stroke.ArcLeft || shape.Shape == stroke.ArcRight {
+				continue // click has no fit; arcs replace it with the endpoints
+			}
+			dir, _, _ := EstimateDirection(readings, g, shape.Cells)
+			if res.TravelDir != dir {
+				t.Errorf("path %v: RecognizeWindow direction %v, EstimateDirection %v", path, res.TravelDir, dir)
+			}
+		}
+	}
+	if withTroughs < len(paths) {
+		t.Errorf("only %d windows produced two or more troughs; the comparison is vacuous", withTroughs)
+	}
+}
+
+// TestPipelineCalibrationCoversGrid pins the invariant RecognizeWindow's
+// shared per-tag split relies on: every calibration a pipeline is built
+// with has exactly one entry per grid tag, whether measured (with or
+// without dead tags or stray out-of-range reads), uniform, or restored
+// from a checkpoint snapshot.
+func TestPipelineCalibrationCoversGrid(t *testing.T) {
+	for _, g := range []Grid{{Rows: 5, Cols: 5}, {Rows: 3, Cols: 4}, {Rows: 1, Cols: 6}} {
+		n := g.NumTags()
+		static := synthStatic(n+2, 60, evenCentres(n+2), constSigmas(n+2, 0.04), 71)
+		var kept []Reading
+		for _, r := range static {
+			if r.TagIndex != 0 { // tag 0 never answers: dead
+				kept = append(kept, r)
+			}
+		}
+		cal, err := Calibrate(kept, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreCalibration(cal.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]*Calibration{
+			"measured": cal, "uniform": UniformCalibration(n), "restored": restored,
+		} {
+			if c.NumTags() != n {
+				t.Errorf("%dx%d %s calibration has %d tags, grid has %d", g.Rows, g.Cols, name, c.NumTags(), n)
+			}
+		}
 	}
 }

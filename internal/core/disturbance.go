@@ -70,14 +70,17 @@ func DisturbanceMap(readings []Reading, cal *Calibration, opts DisturbanceOption
 // DisturbanceScratch owns every buffer one DisturbanceMap evaluation
 // needs — the per-tag series split and the phase / unwrap / smoothing
 // workspaces — so a hot caller evaluating windows repeatedly allocates
-// nothing once the buffers reach their high-water marks. The zero
-// value is ready. A scratch is not safe for concurrent use; the
-// Pipeline keeps a sync.Pool of them.
+// nothing once the buffers reach their high-water marks. RecognizeWindow
+// also finds the window's RSS troughs on the split Map leaves behind
+// (samples is that stage's workspace), so a stroke window is split by
+// tag once. The zero value is ready. A scratch is not safe for
+// concurrent use; the Pipeline keeps a sync.Pool of them.
 type DisturbanceScratch struct {
-	series [][]Reading
-	phases []float64
-	un     []float64
-	out    []float64
+	series  [][]Reading
+	phases  []float64
+	un      []float64
+	out     []float64
+	samples []dsp.TimedSample
 }
 
 // growFloats returns a slice of exactly length n, reusing buf's backing

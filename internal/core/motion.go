@@ -37,6 +37,8 @@ type MotionResult struct {
 
 // Pipeline bundles the recognition configuration shared across
 // windows: the grid, the calibration, and the suppression options.
+// Cal must cover exactly Grid's tags (Cal.NumTags() == Grid.NumTags()),
+// as Calibrate with Grid.NumTags() produces.
 type Pipeline struct {
 	Grid Grid
 	Cal  *Calibration
@@ -113,14 +115,18 @@ func (p *Pipeline) RecognizeWindow(readings []Reading) MotionResult {
 	}
 
 	span = obs.StartTimer(tel.direction)
+	// FindTagTroughs over the per-tag split Map already made of this
+	// window: Cal covers exactly Grid's tags, so it is the same split.
+	var troughs []TagTrough
+	troughs, sc.samples = findTroughs(sc.series, shape.Cells, sc.samples)
+	res.Troughs = troughs
 	if shape.Shape == stroke.Click {
 		res.Motion = stroke.M(stroke.Click, 0)
-		res.Troughs = FindTagTroughs(readings, p.Grid.NumTags(), shape.Cells)
 		span.End()
 		return res
 	}
 
-	dir, troughs, dirOK := EstimateDirection(readings, p.Grid, shape.Cells)
+	dir, dirOK := fitDirection(p.Grid, troughs)
 	if shape.Shape == stroke.ArcLeft || shape.Shape == stroke.ArcRight {
 		// Arcs reverse course in x; endpoint displacement is the
 		// robust direction cue.
@@ -129,7 +135,6 @@ func (p *Pipeline) RecognizeWindow(readings []Reading) MotionResult {
 		}
 	}
 	span.End()
-	res.Troughs = troughs
 	res.TravelDir = dir
 
 	// Position refinement (§III-C2: stroke positions come from tag

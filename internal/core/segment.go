@@ -154,7 +154,7 @@ func (g *Segmenter) Segment(readings []Reading, cal *Calibration, start, end tim
 type segScratch struct {
 	stds   []float64
 	seeded []float64
-	sorted []float64 // quantile workspace (copied + sorted per use)
+	sel    []float64 // quantile workspace: NaN-free copy, partially ordered by selectNth
 	active []bool
 	spans  []Span
 
@@ -190,17 +190,84 @@ func (sc *segScratch) sortedRemove(v float64) {
 }
 
 // quantile computes the q-th quantile of x through the scratch's
-// sorting buffer, mirroring dsp.NewCDF(x).Quantile(q) without the
-// allocation. NaNs are dropped as CDF does.
+// selection buffer, returning exactly what dsp.NewCDF(x).Quantile(q)
+// does without the allocation or the sort. NaNs are dropped as CDF
+// does. QuantileSorted reads only the order statistics sorted[i] and
+// sorted[i+1]; quickselect places the first at i with everything after
+// it no smaller, so the second is the minimum of that upper part — the
+// same two values, interpolated by the same expression, in O(n).
 func (sc *segScratch) quantile(x []float64, q float64) float64 {
-	sc.sorted = sc.sorted[:0]
+	sc.sel = sc.sel[:0]
 	for _, v := range x {
 		if !math.IsNaN(v) {
-			sc.sorted = append(sc.sorted, v)
+			sc.sel = append(sc.sel, v)
 		}
 	}
-	slices.Sort(sc.sorted)
-	return dsp.QuantileSorted(sc.sorted, q)
+	a := sc.sel
+	n := len(a)
+	if n == 0 {
+		return math.NaN()
+	}
+	if q <= 0 {
+		lo, _ := dsp.MinMax(a)
+		return lo
+	}
+	// The index arithmetic and interpolation of dsp.QuantileSorted.
+	pos := q * float64(n-1)
+	i := int(pos)
+	if q >= 1 || i+1 >= n {
+		_, hi := dsp.MinMax(a)
+		return hi
+	}
+	frac := pos - float64(i)
+	selectNth(a, i)
+	next, _ := dsp.MinMax(a[i+1:])
+	return a[i]*(1-frac) + next*frac
+}
+
+// selectNth partially orders the NaN-free a so that a[k] holds the
+// value a full sort would put there, every element before k is <= a[k]
+// and every element after it is >= a[k] (quickselect with a
+// median-of-three pivot and a three-way partition, so runs of equal
+// values — quiet frames all at the noise floor — cost one pass).
+func selectNth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+			if x > y {
+				y = x
+			}
+		}
+		p := y // median of the three
+		// [lo, lt) < p, [lt, i) == p, (gt, hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				a[i], a[gt] = a[gt], v
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
 }
 
 // segmentRMS runs the span-detection back half of Segment over an

@@ -145,3 +145,62 @@ func TestSegmenterEmptyInput(t *testing.T) {
 		t.Errorf("short trace = %v", got)
 	}
 }
+
+// TestSegScratchQuantileMatchesCDF pins the selection-based quantile to
+// the sort-based definition bit for bit: dsp.NewCDF(x).Quantile(q)
+// sorts the NaN-free samples and interpolates, segScratch.quantile
+// selects the same two order statistics without sorting.
+func TestSegScratchQuantileMatchesCDF(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	gen := func(n int, kind string) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			switch kind {
+			case "dups": // few distinct values: long runs of ties
+				x[i] = float64(rng.Intn(4)) * 0.25
+			case "sorted":
+				x[i] = float64(i) * 0.1
+			case "reversed":
+				x[i] = float64(n-i) * 0.1
+			case "const":
+				x[i] = 0.5
+			default:
+				x[i] = rng.NormFloat64()
+			}
+			if kind != "const" && rng.Intn(8) == 0 {
+				x[i] = math.NaN()
+			}
+		}
+		if kind == "inf" && n > 2 {
+			x[0], x[n-1] = math.Inf(1), math.Inf(-1)
+		}
+		return x
+	}
+	qs := []float64{0, 0.25, 0.5, 1, -0.5, 1.5, 0.1, 0.75, 0.999}
+	var sc segScratch
+	for _, n := range []int{0, 1, 2, 3, 7, 16, 300} {
+		for _, kind := range []string{"rand", "dups", "sorted", "reversed", "const", "inf"} {
+			for trial := 0; trial < 20; trial++ {
+				x := gen(n, kind)
+				orig := append([]float64(nil), x...)
+				cdf := dsp.NewCDF(x)
+				for _, q := range append(qs, rng.Float64()) {
+					want := cdf.Quantile(q)
+					got := sc.quantile(x, q)
+					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("n=%d %s q=%v: quantile = %v, CDF = %v (x=%v)", n, kind, q, got, want, orig)
+					}
+				}
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(orig[i]) {
+						t.Fatalf("n=%d %s: quantile modified its input", n, kind)
+					}
+				}
+			}
+		}
+	}
+	// All-NaN input has no samples, like an empty one.
+	if got := sc.quantile([]float64{math.NaN(), math.NaN()}, 0.5); !math.IsNaN(got) {
+		t.Errorf("all-NaN quantile = %v, want NaN", got)
+	}
+}

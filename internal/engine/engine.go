@@ -104,8 +104,9 @@ type Config struct {
 	// state was restored or adopted with.
 	Epoch func(StreamID) (uint64, bool)
 	// DrainTimeout bounds how long Close spends handling mailbox
-	// backlog before abandoning the remainder (default 5 s). Flushes
-	// and checkpoint writes still run for every stream.
+	// backlog before abandoning the remainder (default 5 s). It is
+	// measured from the Close call, for every shard alike. Flushes and
+	// checkpoint writes still run for every stream.
 	DrainTimeout time.Duration
 }
 
@@ -296,6 +297,11 @@ type Engine struct {
 
 	closeOnce sync.Once
 	final     []StreamResult
+	// drainDeadline is stamped once by Close before any shard's stop
+	// channel closes (which publishes it to the shards): every shard
+	// abandons its backlog at the same instant, however long it was
+	// busy before it noticed the stop.
+	drainDeadline time.Time
 
 	mu      sync.Mutex
 	results []StreamResult
@@ -504,6 +510,7 @@ func (e *Engine) Close() []StreamResult {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
 		e.tel.accepting.Set(0)
+		e.drainDeadline = time.Now().Add(e.cfg.DrainTimeout)
 		for _, s := range e.shards {
 			close(s.stop)
 		}
@@ -548,10 +555,11 @@ func (s *shard) run() {
 			s.checkpointAll()
 		case <-s.stop:
 			// Drain whatever was enqueued before the close — bounded
-			// by the drain deadline so a flooded mailbox cannot hold
+			// by the drain deadline Close stamped, so neither a flooded
+			// mailbox nor a handler that was slow to return can hold
 			// shutdown hostage — then flush every stream, write final
 			// checkpoints, and hand the results up.
-			deadline := time.Now().Add(s.eng.cfg.DrainTimeout)
+			deadline := s.eng.drainDeadline
 			for {
 				select {
 				case it := <-s.mail:

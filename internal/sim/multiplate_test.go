@@ -42,6 +42,9 @@ func TestMultiPlateSharedReader(t *testing.T) {
 		{plateA, scriptA, wantA},
 		{plateB, scriptB, wantB},
 	} {
+		if got, want := cals[i].NumTags(), tc.plate.Grid.NumTags(); got != want {
+			t.Fatalf("plate %d: calibration has %d tags, grid has %d", i, got, want)
+		}
 		p := core.NewPipeline(tc.plate.Grid, cals[i])
 		results := p.RecognizeStream(streams[i], nil, 0, tc.script.Duration()+time.Second)
 		if len(results) != 1 || !results[0].Result.Ok {

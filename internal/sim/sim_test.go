@@ -57,8 +57,8 @@ func TestCalibrateFromSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cal.NumTags() != 25 {
-		t.Fatalf("NumTags = %d", cal.NumTags())
+	if cal.NumTags() != 25 || cal.NumTags() != s.Grid.NumTags() {
+		t.Fatalf("NumTags = %d, grid has %d", cal.NumTags(), s.Grid.NumTags())
 	}
 }
 

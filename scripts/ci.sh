@@ -66,20 +66,24 @@ go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/supervise
 # The exact AllocsPerRun assertions skip themselves under -race (the
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
-# and the unsampled/sampled tracing paths (0 allocs per span).
+# the active segmentation poll, and the unsampled/sampled tracing paths
+# (0 allocs per span).
 echo '== alloc regression tests (pure build)'
-go test -run 'Allocs' . ./internal/obs/trace
+go test -run 'Allocs' . ./internal/core ./internal/obs/trace
 
-echo '== bench smoke (hot path + engine + columnar ingest, 1 iteration)'
-go test -run '^$' -bench 'BenchmarkRecognizerIngestSteadyState|BenchmarkEngineMultiStream|BenchmarkStreamingIngest$|BenchmarkIngestBatch$' \
-    -benchtime=1x -benchmem . | tee bench_smoke.txt
-# The columnar batch path must stay allocation-free at steady state:
-# any allocation on BenchmarkIngestBatch is a hot-path regression, so
-# it fails the gate outright.
-if ! grep 'BenchmarkIngestBatch' bench_smoke.txt | grep -q ' 0 allocs/op'; then
-    echo 'FAIL: BenchmarkIngestBatch allocates on the steady-state workload'
-    exit 1
-fi
+echo '== bench smoke (hot path + engine + columnar ingest + active poll, 1 iteration)'
+go test -run '^$' -bench 'BenchmarkRecognizerIngestSteadyState|BenchmarkEngineMultiStream|BenchmarkStreamingIngest$|BenchmarkIngestBatch$|BenchmarkSegmentPollActive$' \
+    -benchtime=1x -benchmem . ./internal/core | tee bench_smoke.txt
+# The columnar batch path (a quiet stream) and the segmentation poll
+# over a history holding strokes must stay allocation-free at steady
+# state: any allocation on either is a hot-path regression, so it fails
+# the gate outright.
+for bench in BenchmarkIngestBatch BenchmarkSegmentPollActive; do
+    if ! grep "^${bench}" bench_smoke.txt | grep -q ' 0 allocs/op'; then
+        echo "FAIL: ${bench} allocates at steady state"
+        exit 1
+    fi
+done
 
 # Bench reports: regenerate each report into a fresh BENCH_<name>.ci.json
 # (uploaded as an artifact; the committed baselines are never
