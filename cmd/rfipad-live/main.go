@@ -11,20 +11,30 @@
 // bandwidth. Calibration tolerates dead tags; their cells are
 // interpolated from live neighbors.
 //
-// With -checkpoint-dir set, calibration state is checkpointed to disk
-// (atomically, with a checksum) on a timer and on every drain; a
-// restarted backend restores a fresh-enough checkpoint and skips the
-// static prelude entirely. SIGINT/SIGTERM trigger a graceful drain:
+// Every stream runs on the sharded recognition engine (internal/engine),
+// the default single stream as a one-stream engine: a panic in a
+// stream's handler quarantines that stream instead of crashing the
+// process, and the shutdown drain is bounded by -drain-timeout.
+//
+// With -checkpoint-dir set, each stream's calibration state is
+// checkpointed to disk (atomically, with a checksum) on calibration, on
+// a timer, and on every drain; a restarted backend restores a
+// fresh-enough checkpoint and skips the static prelude entirely.
+// Checkpoints are keyed by stream ID (stream-00, stream-01, …), so a
+// checkpoint saved under the single-stream key "live" by an older
+// build is not found: that stream calibrates live once, as it would
+// from any stale checkpoint. SIGINT/SIGTERM trigger a graceful drain:
 // in-flight batches are flushed, final telemetry is emitted, and
 // checkpoints are written before exit.
 //
-// Recognition output (strokes, letters, the final word) goes to
+// Recognition output (strokes, letters, the final words) goes to
 // stdout; everything operational is structured logging on stderr via
-// log/slog, tagged with a component attribute (session, live). With
+// log/slog, tagged with a component attribute (session, engine). With
 // -obs-addr set, an admin listener serves Prometheus metrics
 // (/metrics), health (/healthz), readiness for load balancers
-// (/readyz — ready only once calibration is restored-or-complete),
-// expvar (/debug/vars), and pprof (/debug/pprof/).
+// (/readyz — ready only while some stream's calibration is
+// restored-or-complete), expvar (/debug/vars), and pprof
+// (/debug/pprof/).
 //
 // Usage:
 //
@@ -35,9 +45,8 @@
 //	rfipad-live -obs-addr 127.0.0.1:9090 -log-format json -log-level debug
 //
 // With -streams > 1 the backend opens that many sessions and fans them
-// into the sharded recognition engine (internal/engine); pair it with
-// rfipad-readerd -streams, whose successive connections serve distinct
-// capture variants.
+// into one engine; pair it with rfipad-readerd -streams, whose
+// successive connections serve distinct capture variants.
 package main
 
 import (
@@ -84,7 +93,7 @@ func run() int {
 		cols  = flag.Int("cols", 5, "tag array columns")
 
 		streams       = flag.Int("streams", 1, "concurrent reader sessions fed into one sharded engine (pair with rfipad-readerd -streams)")
-		engineWorkers = flag.Int("engine-workers", 0, "engine shard workers when -streams > 1 (0 = GOMAXPROCS)")
+		engineWorkers = flag.Int("engine-workers", 0, "engine shard workers (0 = GOMAXPROCS)")
 		clusterNodes  = flag.Int("cluster-nodes", 0, "run an in-process multi-node cluster with this many members; streams place via consistent hashing and migrate by checkpoint handoff (0 = single engine)")
 		drainTimeout  = flag.Duration("drain-timeout", 5*time.Second, "bound on mailbox drain during graceful shutdown")
 
@@ -233,70 +242,26 @@ func run() int {
 		})
 	}
 
-	if *streams > 1 {
-		return runEngineMode(log, dial, *addr, *streams, *engineWorkers, engine.Config{
-			Stream: live.Config{
-				Grid:          rfipad.Grid{Rows: *rows, Cols: *cols},
-				CalibDuration: *calib,
-			},
-			Checkpoints:      store,
-			CheckpointEvery:  *checkpointEvery,
-			CheckpointMaxAge: *checkpointMaxAge,
-			DrainTimeout:     *drainTimeout,
-			Trace:            tracer,
-			Flight:           flight,
-		})
-	}
-
-	sess, err := dial()
-	if err != nil {
-		log.Error("dial failed", "component", "session", "addr", *addr, "err", err)
-		return 1
-	}
-	defer sess.Close()
-	fmt.Printf("connected to %s, calibrating from the first %v...\n", *addr, *calib)
-
-	res, err := live.Run(sess, live.Config{
-		Grid:             rfipad.Grid{Rows: *rows, Cols: *cols},
-		CalibDuration:    *calib,
-		Logger:           obs.Component(log, "live"),
+	return runEngineMode(log, dial, *addr, *streams, *engineWorkers, engine.Config{
+		Stream: live.Config{
+			Grid:          rfipad.Grid{Rows: *rows, Cols: *cols},
+			CalibDuration: *calib,
+		},
 		Checkpoints:      store,
 		CheckpointEvery:  *checkpointEvery,
 		CheckpointMaxAge: *checkpointMaxAge,
+		DrainTimeout:     *drainTimeout,
 		Trace:            tracer,
 		Flight:           flight,
-		OnEvent: func(ev rfipad.Event) {
-			switch ev.Kind {
-			case rfipad.StrokeDetected:
-				fmt.Printf("stroke %-8v span %v–%v\n", ev.Stroke.Motion,
-					ev.Span.Start.Round(10*time.Millisecond), ev.Span.End.Round(10*time.Millisecond))
-			case rfipad.LetterDeduced:
-				fmt.Printf("letter %q\n", ev.Letter)
-			}
-		},
 	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			// Graceful drain: the signal context cancelled the session.
-			// The checkpoint (if enabled) was written on the way out.
-			log.Info("drained on signal", "component", "live",
-				"letters", res.Letters, "strokes", res.Strokes)
-			fmt.Printf("drained; recognized %q so far\n", res.Letters)
-			return 0
-		}
-		log.Error("run failed", "component", "live", "err", err, "partial_letters", res.Letters)
-		return 1
-	}
-	fmt.Printf("stream ended; recognized %q (%d stroke(s), %d reconnect(s), %d dead tag(s))\n",
-		res.Letters, res.Strokes, res.Reconnects, res.DeadTags)
-	return 0
 }
 
-// runEngineMode fans n reader sessions into one sharded engine: each
-// successive connection to a rfipad-readerd -streams daemon receives a
-// distinct capture variant, so this drives n independent calibrations
-// and recognizers concurrently. Events stream to stdout tagged with
-// their stream ID; per-stream summaries print after every source ends.
+// runEngineMode fans n reader sessions into one sharded engine — n is
+// 1 unless -streams says otherwise. Each successive connection to a
+// rfipad-readerd -streams daemon receives a distinct capture variant,
+// so this drives n independent calibrations and recognizers
+// concurrently. Events stream to stdout tagged with their stream ID;
+// per-stream summaries print after every source ends.
 func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr string, n, workers int, cfg engine.Config) int {
 	cfg.Workers = workers
 	cfg.Logger = obs.Component(log, "engine")
@@ -312,8 +277,9 @@ func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr st
 	eng := engine.New(cfg)
 	fmt.Printf("connecting %d streams to %s...\n", n, addr)
 	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
+		wg       sync.WaitGroup
+		failed   atomic.Bool
+		sessions = map[engine.StreamID]*llrp.Session{}
 	)
 	for i := 0; i < n; i++ {
 		sess, err := dial()
@@ -324,6 +290,7 @@ func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr st
 		}
 		defer sess.Close()
 		id := engine.StreamID(fmt.Sprintf("stream-%02d", i))
+		sessions[id] = sess
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -341,8 +308,8 @@ func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr st
 			failed.Store(true)
 			continue
 		}
-		fmt.Printf("[%s] recognized %q (%d stroke(s), %d dead tag(s))\n",
-			res.ID, res.Letters, res.Strokes, res.DeadTags)
+		fmt.Printf("[%s] recognized %q (%d stroke(s), %d reconnect(s), %d dead tag(s))\n",
+			res.ID, res.Letters, res.Strokes, sessions[res.ID].Stats().Reconnects, res.DeadTags)
 	}
 	if failed.Load() {
 		return 1
@@ -422,7 +389,8 @@ func runClusterMode(log *slog.Logger, dial func() (*llrp.Session, error), addr s
 }
 
 // liveHealth evaluates /healthz from the metrics registry: healthy
-// while the reader link is up, with calibration state and reconnect
+// while the reader link is up, with calibration state (any stream
+// calibrated, dead tags across calibrated streams) and reconnect
 // counts as detail fields.
 func liveHealth(reg *obs.Registry) obs.HealthFunc {
 	return func() obs.Health {
@@ -432,32 +400,29 @@ func liveHealth(reg *obs.Registry) obs.HealthFunc {
 			OK: connected,
 			Detail: map[string]any{
 				"connected":  connected,
-				"calibrated": snap.Value("rfipad_calibrated") == 1,
-				"dead_tags":  snap.Value("rfipad_dead_tags"),
+				"calibrated": snap.Value("engine_streams_calibrated") > 0,
+				"dead_tags":  snap.Value("engine_dead_tags"),
 				"reconnects": snap.Value("llrp_session_reconnects_total"),
 			},
 		}
 	}
 }
 
-// liveReady evaluates /readyz: the load-balancer gate. Ready only once
-// calibration is restored-or-complete — single-stream mode sets
-// rfipad_ready; engine mode is ready while the engine accepts pushes
-// and at least one stream has calibrated (so traffic routed here can
-// actually be recognized).
+// liveReady evaluates /readyz: the load-balancer gate. Ready while the
+// engine accepts pushes and at least one stream's calibration is
+// restored-or-complete (so traffic routed here can actually be
+// recognized); a quarantined or evicted stream no longer counts.
 func liveReady(reg *obs.Registry) obs.HealthFunc {
 	return func() obs.Health {
 		snap := reg.Snapshot()
-		single := snap.Value("rfipad_ready") == 1
-		engineReady := snap.Value("engine_accepting") == 1 &&
-			snap.Value("engine_streams_calibrated") > 0
+		accepting := snap.Value("engine_accepting") == 1
+		calibrated := snap.Value("engine_streams_calibrated")
 		return obs.Health{
-			OK: single || engineReady,
+			OK: accepting && calibrated > 0,
 			Detail: map[string]any{
-				"calibrated":         snap.Value("rfipad_calibrated") == 1,
-				"restored":           snap.Value("rfipad_calibration_restored_total"),
-				"engine_accepting":   snap.Value("engine_accepting") == 1,
-				"streams_calibrated": snap.Value("engine_streams_calibrated"),
+				"restored":           snap.Value("engine_checkpoints_restored_total"),
+				"engine_accepting":   accepting,
+				"streams_calibrated": calibrated,
 			},
 		}
 	}

@@ -55,8 +55,9 @@ type Config struct {
 	// (default 256).
 	QueueDepth int
 	// Stream is the per-stream recognition config (grid geometry,
-	// calibration prelude, flush horizon). Its OnEvent/OnStatus fields
-	// are ignored; event fan-out goes through Engine.Config.OnEvent.
+	// calibration prelude, flush horizon). Its Obs is overridden with
+	// the engine's registry, so every series a stream records lands
+	// next to the engine_* series.
 	Stream live.Config
 	// OnEvent receives every recognition event, tagged with its
 	// stream. It is called from shard goroutines — implementations
@@ -157,6 +158,7 @@ type telemetry struct {
 	reg         *obs.Registry
 	streams     *obs.Gauge
 	calibrated  *obs.Gauge
+	deadTags    *obs.Gauge
 	quarantined *obs.Gauge
 	accepting   *obs.Gauge
 	batches     *obs.Counter
@@ -175,7 +177,41 @@ type telemetry struct {
 	ckptLoaded  *obs.Counter
 	evicted     *obs.Counter
 	adopted     *obs.Counter
-	restore     live.RestoreCounters
+	restore     restoreCounters
+}
+
+// restoreCounters is the labeled checkpoint_restore_total family: one
+// counter per outcome of a durable restore attempt — restored; stale
+// (past the age bound); corrupt (bad bytes, version skew, or a payload
+// the restore rejected); missing (nothing on disk) — so recovery
+// behavior is observable on /metrics instead of only in logs.
+type restoreCounters struct {
+	restored, stale, corrupt, missing *obs.Counter
+}
+
+func newRestoreCounters(reg *obs.Registry) restoreCounters {
+	const name = "checkpoint_restore_total"
+	const help = "Checkpoint restore attempts by outcome."
+	return restoreCounters{
+		restored: reg.Counter(name, help, obs.L("outcome", "restored")),
+		stale:    reg.Counter(name, help, obs.L("outcome", "stale")),
+		corrupt:  reg.Counter(name, help, obs.L("outcome", "corrupt")),
+		missing:  reg.Counter(name, help, obs.L("outcome", "missing")),
+	}
+}
+
+// observeLoad counts a failed Store.LoadFresh by outcome. A loaded
+// checkpoint is counted by the caller once the restore itself
+// succeeds (a loaded-but-unusable payload counts as corrupt).
+func (rc restoreCounters) observeLoad(err error) {
+	switch {
+	case errors.Is(err, supervise.ErrNoCheckpoint):
+		rc.missing.Inc()
+	case errors.Is(err, supervise.ErrStale):
+		rc.stale.Inc()
+	default:
+		rc.corrupt.Inc()
+	}
 }
 
 func newTelemetry(reg *obs.Registry) *telemetry {
@@ -185,6 +221,8 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Streams the engine has seen (cumulative per run)."),
 		calibrated: reg.Gauge("engine_streams_calibrated",
 			"Streams whose calibration is complete or restored."),
+		deadTags: reg.Gauge("engine_dead_tags",
+			"Dead tags across calibrated streams (their cells are interpolated)."),
 		quarantined: reg.Gauge("engine_streams_quarantined",
 			"Streams quarantined after a panic in their handler."),
 		accepting: reg.Gauge("engine_accepting",
@@ -220,7 +258,7 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Streams evicted for migration, with their checkpoint handed to the caller."),
 		adopted: reg.Counter("engine_streams_adopted_total",
 			"Streams adopted from a migrated checkpoint, skipping calibration."),
-		restore: live.NewRestoreCounters(reg),
+		restore: newRestoreCounters(reg),
 	}
 }
 
@@ -312,6 +350,7 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	reg := obs.Or(cfg.Obs)
+	cfg.Stream.Obs = reg
 	obs.EnableRuntimeMetrics(reg)
 	e := &Engine{cfg: cfg, tel: newTelemetry(reg)}
 	e.tel.accepting.Set(1)
@@ -592,68 +631,98 @@ func (s *shard) run() {
 // stream with a fresh-enough checkpoint restores from it, skipping the
 // calibration prelude.
 func (s *shard) stream(id StreamID) *streamState {
-	st, ok := s.streams[id]
-	if ok {
+	if st, ok := s.streams[id]; ok {
 		return st
 	}
-	st = &streamState{
+	tr := s.eng.cfg.Trace.Stream(string(id))
+	if st := s.load(id, tr); st != nil {
+		return st
+	}
+	return s.add(id, live.NewStream(s.eng.cfg.Stream), tr)
+}
+
+// add registers a new stream's state on the shard.
+func (s *shard) add(id StreamID, ls *live.Stream, tr *trace.StreamTrace) *streamState {
+	st := &streamState{
 		id: id,
+		st: ls,
+		tr: tr,
 		latency: s.eng.tel.reg.Histogram("engine_event_latency_seconds",
 			"Enqueue-to-emission latency of recognition events.",
 			nil, obs.L("stream", string(id))),
 	}
 	st.res.ID = id
-	st.tr = s.eng.cfg.Trace.Stream(string(id))
-	if store := s.eng.cfg.Checkpoints; store != nil {
-		if cp, err := store.LoadFresh(string(id), s.eng.cfg.CheckpointMaxAge); err == nil {
-			restoreStart := time.Now()
-			if restored, rerr := live.RestoreStream(s.eng.cfg.Stream, cp); rerr == nil {
-				st.st = restored
-				st.epoch = cp.Epoch
-				st.res.Calibrated = true
-				st.res.DeadTags = restored.DeadTags()
-				s.eng.tel.ckptLoaded.Inc()
-				s.eng.tel.restore.Restored.Inc()
-				s.eng.tel.calibrated.Add(1)
-				// A durable checkpoint carries the trace identity of the
-				// previous incarnation: continue it rather than starting a
-				// fresh ring, so a restart shows up as restore inside one
-				// stitched trace.
-				if tid, terr := trace.ParseID(cp.TraceID); terr == nil && tid != 0 {
-					st.tr = s.eng.cfg.Trace.Adopt(string(id), tid)
-				}
-				st.tr.Add(trace.Span{Name: trace.SpanRestore, Node: s.eng.cfg.TraceNode,
-					Start: restoreStart, Duration: time.Since(restoreStart), Count: st.res.DeadTags})
-				if s.eng.cfg.Logger != nil {
-					s.eng.cfg.Logger.Info("stream calibration restored",
-						"stream", string(id), "saved_at", cp.SavedAt,
-						"stream_time", cp.StreamTime, "dead_tags", st.res.DeadTags)
-				}
-			} else {
-				s.eng.tel.restore.Corrupt.Inc()
-				s.flight(trace.TriggerCorruptCheckpoint, string(id), rerr.Error(), st.tr, nil)
-				if s.eng.cfg.Logger != nil {
-					s.eng.cfg.Logger.Warn("stream checkpoint unusable; calibrating live",
-						"stream", string(id), "err", rerr)
-				}
-			}
-		} else {
-			s.eng.tel.restore.ObserveLoad(err)
-			if errors.Is(err, supervise.ErrCorrupt) || errors.Is(err, supervise.ErrVersion) {
-				s.flight(trace.TriggerCorruptCheckpoint, string(id), err.Error(), st.tr, nil)
-			}
-			if !errors.Is(err, supervise.ErrNoCheckpoint) && s.eng.cfg.Logger != nil {
-				s.eng.cfg.Logger.Warn("stream checkpoint load failed; calibrating live",
-					"stream", string(id), "err", err)
-			}
-		}
-	}
-	if st.st == nil {
-		st.st = live.NewStream(s.eng.cfg.Stream)
-	}
 	s.streams[id] = st
 	s.eng.tel.streams.Add(1)
 	return st
+}
+
+// load restores a new stream from the durable store, counting the
+// attempt's outcome. It returns nil — calibrate live — when the store
+// is off or holds no fresh, usable checkpoint for the stream.
+func (s *shard) load(id StreamID, tr *trace.StreamTrace) *streamState {
+	store := s.eng.cfg.Checkpoints
+	if store == nil {
+		return nil
+	}
+	log := s.eng.cfg.Logger
+	cp, err := store.LoadFresh(string(id), s.eng.cfg.CheckpointMaxAge)
+	if err != nil {
+		s.eng.tel.restore.observeLoad(err)
+		if errors.Is(err, supervise.ErrCorrupt) || errors.Is(err, supervise.ErrVersion) {
+			s.flight(trace.TriggerCorruptCheckpoint, string(id), err.Error(), tr, nil)
+		}
+		if !errors.Is(err, supervise.ErrNoCheckpoint) && log != nil {
+			log.Warn("stream checkpoint load failed; calibrating live",
+				"stream", string(id), "err", err)
+		}
+		return nil
+	}
+	st, err := s.restore(id, cp, tr, trace.SpanRestore)
+	if err != nil {
+		s.eng.tel.restore.corrupt.Inc()
+		if log != nil {
+			log.Warn("stream checkpoint unusable; calibrating live",
+				"stream", string(id), "err", err)
+		}
+		return nil
+	}
+	s.eng.tel.ckptLoaded.Inc()
+	s.eng.tel.restore.restored.Inc()
+	if log != nil {
+		log.Info("stream calibration restored",
+			"stream", string(id), "saved_at", cp.SavedAt,
+			"stream_time", cp.StreamTime, "dead_tags", st.res.DeadTags)
+	}
+	return st
+}
+
+// restore rebuilds a stream from a checkpoint — the one restore path,
+// shared by a durable restart (load) and a migration (adopt). The
+// recognizer resumes at the checkpoint's frame cursor with no
+// calibration prelude, and a checkpoint that carries a trace identity
+// continues it, so the restart or handoff shows up inside one stitched
+// trace. The attempt is recorded as a span named span on the stream's
+// trace; an unusable checkpoint is dumped to the flight recorder and
+// returned as an error, leaving the shard untouched.
+func (s *shard) restore(id StreamID, cp supervise.Checkpoint, tr *trace.StreamTrace, span string) (*streamState, error) {
+	start := time.Now()
+	restored, err := live.RestoreStream(s.eng.cfg.Stream, cp)
+	if err != nil {
+		tr.Add(trace.Span{Name: span, Node: s.eng.cfg.TraceNode,
+			Start: start, Duration: time.Since(start), Err: err.Error()})
+		s.flight(trace.TriggerCorruptCheckpoint, string(id), err.Error(), tr, nil)
+		return nil, err
+	}
+	if tid, terr := trace.ParseID(cp.TraceID); terr == nil && tid != 0 {
+		tr = s.eng.cfg.Trace.Adopt(string(id), tid)
+	}
+	st := s.add(id, restored, tr)
+	st.epoch = cp.Epoch
+	s.markCalibrated(st)
+	tr.Add(trace.Span{Name: span, Node: s.eng.cfg.TraceNode,
+		Start: start, Duration: time.Since(start), Count: st.res.DeadTags})
+	return st, nil
 }
 
 // handle processes one item under the shard's recover boundary: a
@@ -736,15 +805,33 @@ func (s *shard) noteCalibrated(st *streamState) {
 	if st.res.Calibrated || !st.st.Calibrated() {
 		return
 	}
-	st.res.Calibrated = true
-	st.res.DeadTags = st.st.DeadTags()
-	s.eng.tel.calibrated.Add(1)
+	s.markCalibrated(st)
 	st.tr.Add(trace.Span{Name: trace.SpanCalibrate, Node: s.eng.cfg.TraceNode,
 		Start: time.Now(), Count: st.res.DeadTags})
 	s.checkpoint(st)
 	if s.eng.cfg.Logger != nil {
 		s.eng.cfg.Logger.Info("stream calibrated",
 			"stream", string(st.id), "dead_tags", st.res.DeadTags)
+	}
+}
+
+// markCalibrated records a stream as calibrated — by its own prelude
+// or by a restore — on its result and on the engine_streams_calibrated
+// and engine_dead_tags gauges.
+func (s *shard) markCalibrated(st *streamState) {
+	st.res.Calibrated = true
+	st.res.DeadTags = st.st.DeadTags()
+	s.eng.tel.calibrated.Add(1)
+	s.eng.tel.deadTags.Add(float64(st.res.DeadTags))
+}
+
+// uncount takes a calibrated stream back off both gauges when it stops
+// serving on this shard (evicted or quarantined), so readiness never
+// counts a stream that is gone.
+func (s *shard) uncount(st *streamState) {
+	if st.res.Calibrated {
+		s.eng.tel.calibrated.Add(-1)
+		s.eng.tel.deadTags.Add(-float64(st.res.DeadTags))
 	}
 }
 
@@ -783,6 +870,7 @@ func (s *shard) quarantine(st *streamState, cause any) {
 	}
 	s.eng.tel.panics.Inc()
 	s.eng.tel.quarantined.Add(1)
+	s.uncount(st)
 	st.tr.Add(trace.Span{Name: trace.SpanQuarantine, Node: s.eng.cfg.TraceNode,
 		Start: time.Now(), Err: detail})
 	s.flight(trace.TriggerPanic, string(st.id), detail, st.tr, sum)
@@ -847,7 +935,7 @@ func (s *shard) evict(it item) {
 	}
 	s.stampEpoch(st, &cp)
 	delete(s.streams, it.id)
-	s.eng.tel.calibrated.Add(-1)
+	s.uncount(st)
 	s.eng.tel.evicted.Inc()
 	s.eng.mu.Lock()
 	s.eng.results = append(s.eng.results, st.res)
@@ -884,36 +972,16 @@ func (s *shard) adopt(it item) {
 	// Continue the donor's trace: the checkpoint frame carries its
 	// TraceID, so the adopted stream's spans land in the same stitched
 	// trace (a zero/absent ID keeps the stream unsampled here too).
-	adoptStart := time.Now()
 	tid, _ := trace.ParseID(it.cp.TraceID)
 	tr := s.eng.cfg.Trace.Adopt(string(it.id), tid)
-	restored, err := live.RestoreStream(s.eng.cfg.Stream, it.cp)
+	start := time.Now()
+	st, err := s.restore(it.id, it.cp, tr, trace.SpanAdopt)
 	if err != nil {
-		tr.Add(trace.Span{Name: trace.SpanAdopt, Node: s.eng.cfg.TraceNode,
-			Start: adoptStart, Duration: time.Since(adoptStart), Err: err.Error()})
-		s.flight(trace.TriggerCorruptCheckpoint, string(it.id), err.Error(), tr, nil)
 		reply(ctrlReply{err: err})
 		return
 	}
-	st := &streamState{
-		id:    it.id,
-		st:    restored,
-		tr:    tr,
-		epoch: it.cp.Epoch,
-		latency: s.eng.tel.reg.Histogram("engine_event_latency_seconds",
-			"Enqueue-to-emission latency of recognition events.",
-			nil, obs.L("stream", string(it.id))),
-	}
-	st.res.ID = it.id
-	st.res.Calibrated = true
-	st.res.DeadTags = restored.DeadTags()
-	tr.Add(trace.Span{Name: trace.SpanAdopt, Node: s.eng.cfg.TraceNode,
-		Start: adoptStart, Duration: time.Since(adoptStart)})
-	tr.Add(trace.Span{Name: trace.SpanSkipTo, Node: s.eng.cfg.TraceNode,
-		Start: adoptStart, Duration: time.Since(adoptStart), Count: st.res.DeadTags})
-	s.streams[it.id] = st
-	s.eng.tel.streams.Add(1)
-	s.eng.tel.calibrated.Add(1)
+	st.tr.Add(trace.Span{Name: trace.SpanSkipTo, Node: s.eng.cfg.TraceNode,
+		Start: start, Duration: time.Since(start), Count: st.res.DeadTags})
 	s.eng.tel.adopted.Inc()
 	if s.eng.cfg.Logger != nil {
 		s.eng.cfg.Logger.Info("stream adopted from migrated checkpoint",

@@ -126,6 +126,64 @@ func TestEngineEvictAdoptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineDeadTagsGauge follows engine_dead_tags through a stream's
+// life: calibration with one silent tag adds it, eviction takes it
+// away again with the calibrated count, and adoption on the receiver
+// brings it back from the checkpoint.
+func TestEngineDeadTagsGauge(t *testing.T) {
+	reports, err := replay.Synthesize(56, "IT", 3*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := reports[0].EPC
+	var kept []llrp.TagReport
+	for _, r := range reports {
+		if r.EPC != silent {
+			kept = append(kept, r)
+		}
+	}
+	gauges := func(reg *obs.Registry, calibrated, dead float64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		if v := snap.Value("engine_streams_calibrated"); v != calibrated {
+			t.Errorf("engine_streams_calibrated = %v, want %v", v, calibrated)
+		}
+		if v := snap.Value("engine_dead_tags"); v != dead {
+			t.Errorf("engine_dead_tags = %v, want %v", v, dead)
+		}
+	}
+
+	// Two streams on one shard, both missing the same tag. Items are
+	// handled in mailbox order, so the evict of plate-0 also waits out
+	// every batch of plate-1.
+	reg1 := obs.NewRegistry()
+	eng1 := engine.New(engine.Config{Workers: 1, Obs: reg1})
+	for _, id := range []engine.StreamID{"plate-0", "plate-1"} {
+		src := &replaySource{src: replay.NewSource(kept, replay.Options{Speed: 50})}
+		if err := eng1.RunStream(id, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, ok := eng1.EvictStream("plate-0")
+	if !ok {
+		t.Fatal("calibrated stream refused eviction")
+	}
+	gauges(reg1, 1, 1)
+	for _, res := range eng1.Close() {
+		if res.DeadTags != 1 {
+			t.Errorf("stream %s: %d dead tags, want 1", res.ID, res.DeadTags)
+		}
+	}
+
+	reg2 := obs.NewRegistry()
+	eng2 := engine.New(engine.Config{Workers: 1, Obs: reg2})
+	defer eng2.Close()
+	if err := eng2.AdoptStream("plate-0", cp); err != nil {
+		t.Fatal(err)
+	}
+	gauges(reg2, 1, 1)
+}
+
 // TestEngineAdoptRejectsUncalibratedStream pins the donor-side guard
 // from the receiver's view: a stream mid-prelude has no checkpoint to
 // give, so the migration layer sees ok=false instead of a torn

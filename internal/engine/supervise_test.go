@@ -104,6 +104,11 @@ func TestEnginePanicQuarantinesStream(t *testing.T) {
 	if v := snap.Value("engine_stream_errors_total"); v != 1 {
 		t.Errorf("engine_stream_errors_total = %v, want 1", v)
 	}
+	// The quarantined stream no longer counts as calibrated: readiness
+	// keys off this gauge, so a dead stream must not keep a daemon ready.
+	if v := snap.Value("engine_streams_calibrated"); v != 2 {
+		t.Errorf("engine_streams_calibrated = %v after Close, want 2 (the siblings)", v)
+	}
 }
 
 // TestEngineSourcePanicIsolated pins the RunStream recover boundary: a

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rfipad/internal/engine"
 	"rfipad/internal/live"
 	"rfipad/internal/llrp"
 	"rfipad/internal/obs"
@@ -21,7 +22,7 @@ import (
 // run against the same store restores it, skips the static prelude,
 // recognizes the word anyway, and reports readiness on /readyz while
 // it serves — with the restore visible on the
-// rfipad_calibration_restored_total counter.
+// checkpoint_restore_total{outcome="restored"} counter.
 func TestCheckpointRestoreSkipsPrelude(t *testing.T) {
 	const word = "IT"
 	reports, err := replay.Synthesize(12, word, 3*time.Second)
@@ -61,17 +62,17 @@ func TestCheckpointRestoreSkipsPrelude(t *testing.T) {
 	defer sess1.Close()
 	go func() {
 		for ctx1.Err() == nil {
-			if reg1.Snapshot().Value("rfipad_calibrated") == 1 {
+			if reg1.Snapshot().Value("engine_streams_calibrated") == 1 {
 				cancel1()
 				return
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	res1, err := live.Run(sess1, live.Config{
-		CalibDuration: 3 * time.Second,
-		Obs:           reg1,
-		Checkpoints:   store,
+	res1, err := runStream(sess1, engine.Config{
+		Stream:      live.Config{CalibDuration: 3 * time.Second},
+		Obs:         reg1,
+		Checkpoints: store,
 	})
 	if err == nil {
 		t.Fatal("phase 1 ran to completion; the kill never landed")
@@ -79,13 +80,14 @@ func TestCheckpointRestoreSkipsPrelude(t *testing.T) {
 	if !res1.Calibrated {
 		t.Fatal("phase 1 never calibrated")
 	}
-	if res1.CalibrationRestored {
+	snap1 := reg1.Snapshot()
+	if v := snap1.Value("checkpoint_restore_total", obs.L("outcome", "restored")); v != 0 {
 		t.Fatal("phase 1 claims a restore with an empty store")
 	}
-	if v := res1.Telemetry.Value("rfipad_checkpoints_saved_total"); v == 0 {
+	if v := snap1.Value("engine_checkpoints_saved_total"); v == 0 {
 		t.Fatal("kill left no checkpoint behind")
 	}
-	cp, err := store.Load("live")
+	cp, err := store.Load(string(streamID))
 	if err != nil {
 		t.Fatalf("checkpoint not on disk after drain: %v", err)
 	}
@@ -98,7 +100,9 @@ func TestCheckpointRestoreSkipsPrelude(t *testing.T) {
 	// any calibration prelude being consumed.
 	reg2 := obs.NewRegistry()
 	admin, err := obs.StartAdmin("127.0.0.1:0", reg2, nil, func() obs.Health {
-		return obs.Health{OK: reg2.Snapshot().Value("rfipad_ready") == 1}
+		snap := reg2.Snapshot()
+		return obs.Health{OK: snap.Value("engine_accepting") == 1 &&
+			snap.Value("engine_streams_calibrated") > 0}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,21 +127,21 @@ func TestCheckpointRestoreSkipsPrelude(t *testing.T) {
 	defer sess2.Close()
 
 	type outcome struct {
-		res live.Result
+		res engine.StreamResult
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := live.Run(sess2, live.Config{
-			CalibDuration: 3 * time.Second,
-			Obs:           reg2,
-			Checkpoints:   store,
+		res, err := runStream(sess2, engine.Config{
+			Stream:      live.Config{CalibDuration: 3 * time.Second},
+			Obs:         reg2,
+			Checkpoints: store,
 		})
 		done <- outcome{res, err}
 	}()
 
 	// Readiness must be observable while the restored run serves (it
-	// drops again on drain, so poll during, not after).
+	// drops again once the engine closes, so poll during, not after).
 	sawReady := false
 	deadline := time.Now().Add(20 * time.Second)
 	for !sawReady && time.Now().Before(deadline) {
@@ -154,11 +158,12 @@ func TestCheckpointRestoreSkipsPrelude(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("restored run failed: %v (partial %q)", out.err, out.res.Letters)
 	}
-	if !out.res.CalibrationRestored {
+	snap2 := reg2.Snapshot()
+	if v := snap2.Value("checkpoint_restore_total", obs.L("outcome", "restored")); v == 0 {
 		t.Error("restored run did not use the checkpoint")
 	}
-	if v := out.res.Telemetry.Value("rfipad_calibration_restored_total"); v != 1 {
-		t.Errorf("rfipad_calibration_restored_total = %v, want 1", v)
+	if v := snap2.Value("engine_checkpoints_restored_total"); v != 1 {
+		t.Errorf("engine_checkpoints_restored_total = %v, want 1", v)
 	}
 	if out.res.Letters != word {
 		t.Errorf("restored run recognized %q, want %q", out.res.Letters, word)
@@ -190,7 +195,7 @@ func TestCheckpointStaleFallsBackToLiveCalibration(t *testing.T) {
 	}
 	// Plant a checkpoint that is valid but ancient.
 	old := supervise.Checkpoint{
-		Stream:      "live",
+		Stream:      string(streamID),
 		SavedAt:     time.Now().Add(-time.Hour),
 		StreamTime:  5 * time.Second,
 		FrameCursor: 5 * time.Second,
@@ -213,8 +218,8 @@ func TestCheckpointStaleFallsBackToLiveCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	res, err := live.Run(sess, live.Config{
-		CalibDuration:    3 * time.Second,
+	res, err := runStream(sess, engine.Config{
+		Stream:           live.Config{CalibDuration: 3 * time.Second},
 		Obs:              reg,
 		Checkpoints:      store,
 		CheckpointMaxAge: 15 * time.Minute,
@@ -222,8 +227,12 @@ func TestCheckpointStaleFallsBackToLiveCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CalibrationRestored {
+	snap := reg.Snapshot()
+	if v := snap.Value("checkpoint_restore_total", obs.L("outcome", "restored")); v != 0 {
 		t.Error("stale checkpoint was restored")
+	}
+	if v := snap.Value("checkpoint_restore_total", obs.L("outcome", "stale")); v != 1 {
+		t.Errorf("checkpoint_restore_total{outcome=stale} = %v, want 1", v)
 	}
 	if !res.Calibrated {
 		t.Error("fallback never calibrated live")
@@ -232,7 +241,7 @@ func TestCheckpointStaleFallsBackToLiveCalibration(t *testing.T) {
 		t.Errorf("recognized %q, want %q", res.Letters, word)
 	}
 	// The drain overwrote the stale checkpoint with a fresh one.
-	cp, err := store.Load("live")
+	cp, err := store.Load(string(streamID))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,21 +2,47 @@ package live_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rfipad/internal/engine"
 	"rfipad/internal/faultnet"
 	"rfipad/internal/live"
 	"rfipad/internal/llrp"
+	"rfipad/internal/obs"
 	"rfipad/internal/replay"
 )
+
+// streamID is the ID rfipad-live gives its single stream (and the key
+// its checkpoint is saved under).
+const streamID engine.StreamID = "stream-00"
+
+// runStream drains src as streamID on a one-worker engine — the
+// supervisor rfipad-live runs its single stream on — and returns the
+// stream's result after Close. The error is the source's terminal
+// error, else the stream's own (e.g. a failed calibration).
+func runStream(src live.ReportSource, cfg engine.Config) (engine.StreamResult, error) {
+	cfg.Workers = 1
+	eng := engine.New(cfg)
+	err := eng.RunStream(streamID, src)
+	results := eng.Close()
+	if len(results) != 1 || results[0].ID != streamID {
+		return engine.StreamResult{}, fmt.Errorf("engine results %+v, want one for %s", results, streamID)
+	}
+	if err == nil {
+		err = results[0].Err
+	}
+	return results[0], err
+}
 
 // TestEndToEndChaosRecognizesWord drives the full stack — synthesized
 // capture → llrp server → fault-injected link (forced mid-word
 // disconnects, duplicated and fragmented frames) → reconnecting session
-// → online recognizer — and demands the word still comes out. This is
+// → one-stream engine — and demands the word still comes out. This is
 // the PR's acceptance scenario: the byte budget cuts every connection
 // long before the capture ends, so recognition only succeeds if resume
 // and duplicate tolerance actually work.
@@ -69,12 +95,13 @@ func TestEndToEndChaosRecognizesWord(t *testing.T) {
 	}
 	defer sess.Close()
 
-	res, err := live.Run(sess, live.Config{
-		CalibDuration: 3 * time.Second,
-		OnStatus:      func(s string) { t.Log(s) },
+	res, err := runStream(sess, engine.Config{
+		Stream: live.Config{CalibDuration: 3 * time.Second},
+		Obs:    obs.NewRegistry(),
 	})
+	reconnects := sess.Stats().Reconnects
 	if err != nil {
-		t.Fatalf("live run: %v (partial result %q after %d reconnects)", err, res.Letters, res.Reconnects)
+		t.Fatalf("live run: %v (partial result %q after %d reconnects)", err, res.Letters, reconnects)
 	}
 	if !res.Calibrated {
 		t.Error("never calibrated")
@@ -85,20 +112,21 @@ func TestEndToEndChaosRecognizesWord(t *testing.T) {
 	if disconnects.Load() == 0 {
 		t.Error("fault injection produced no disconnects — chaos never engaged")
 	}
-	if res.Reconnects == 0 {
+	if reconnects == 0 {
 		t.Error("session reports no reconnects despite injected link cuts")
 	}
 	t.Logf("survived %d disconnects / %d reconnects, %d strokes",
-		disconnects.Load(), res.Reconnects, res.Strokes)
+		disconnects.Load(), reconnects, res.Strokes)
 }
 
 // TestLiveRunSurfacesPartialResult asserts a run that gives up
-// mid-stream still returns what it recognized so far.
+// mid-stream still returns what it recognized so far: the source's
+// terminal error comes back and the stream's result survives Close.
 func TestLiveRunSurfacesPartialResult(t *testing.T) {
 	sess := &failingSource{}
-	res, err := live.Run(sess, live.Config{})
-	if err == nil {
-		t.Fatal("want the source's terminal error")
+	res, err := runStream(sess, engine.Config{Obs: obs.NewRegistry()})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the source's terminal error", err)
 	}
 	if res.Calibrated {
 		t.Error("calibrated flag set with no data")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rfipad/internal/core"
+	"rfipad/internal/engine"
 	"rfipad/internal/faultnet"
 	"rfipad/internal/live"
 	"rfipad/internal/llrp"
@@ -22,10 +23,12 @@ import (
 // TestEndToEndChaosTelemetry drives a chaos run (forced mid-word
 // disconnects through faultnet) with every component wired to one
 // isolated metrics registry, then asserts runtime health three ways:
-// the /metrics Prometheus scrape, the Result.Telemetry snapshot, and
-// /healthz reporting calibrated=true after the prelude. This is the
-// observability acceptance scenario: degradation must be measured, not
-// just tolerated.
+// the /metrics Prometheus scrape, a registry snapshot after the run,
+// and /healthz reporting calibrated=true after the prelude. This is
+// the observability acceptance scenario: degradation must be measured,
+// not just tolerated. The engine is handed the registry only through
+// engine.Config.Obs, so the recognizer series landing there pins that
+// the engine routes its streams' telemetry to its own registry.
 func TestEndToEndChaosTelemetry(t *testing.T) {
 	const word = "IT"
 	reg := obs.NewRegistry()
@@ -65,14 +68,15 @@ func TestEndToEndChaosTelemetry(t *testing.T) {
 		return obs.Health{
 			OK: snap.Value("llrp_session_connected") == 1,
 			Detail: map[string]any{
-				"calibrated": snap.Value("rfipad_calibrated") == 1,
-				"dead_tags":  snap.Value("rfipad_dead_tags"),
+				"calibrated": snap.Value("engine_streams_calibrated") > 0,
+				"dead_tags":  snap.Value("engine_dead_tags"),
 				"reconnects": snap.Value("llrp_session_reconnects_total"),
 			},
 		}
 	}, func() obs.Health {
 		snap := reg.Snapshot()
-		return obs.Health{OK: snap.Value("rfipad_ready") == 1}
+		return obs.Health{OK: snap.Value("engine_accepting") == 1 &&
+			snap.Value("engine_streams_calibrated") > 0}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,10 +100,9 @@ func TestEndToEndChaosTelemetry(t *testing.T) {
 	}
 	defer sess.Close()
 
-	res, err := live.Run(sess, live.Config{
-		CalibDuration: 3 * time.Second,
-		Obs:           reg,
-		OnStatus:      func(s string) { t.Log(s) },
+	res, err := runStream(sess, engine.Config{
+		Stream: live.Config{CalibDuration: 3 * time.Second},
+		Obs:    reg,
 	})
 	if err != nil {
 		t.Fatalf("live run: %v (partial %q)", err, res.Letters)
@@ -108,8 +111,8 @@ func TestEndToEndChaosTelemetry(t *testing.T) {
 		t.Errorf("recognized %q, want %q", res.Letters, word)
 	}
 
-	// 1. The Result snapshot carries the run's telemetry out.
-	snap := res.Telemetry
+	// 1. A registry snapshot carries the run's telemetry out.
+	snap := reg.Snapshot()
 	if v := snap.Value("llrp_session_reconnects_total"); v == 0 {
 		t.Error("snapshot: llrp_session_reconnects_total = 0, want > 0 (chaos never engaged?)")
 	}
@@ -119,8 +122,8 @@ func TestEndToEndChaosTelemetry(t *testing.T) {
 	if v := snap.Value("faultnet_injected_faults_total", obs.L("kind", faultnet.FaultDrop)); v == 0 {
 		t.Error("snapshot: no injected drops counted")
 	}
-	if v := snap.Value("rfipad_calibrated"); v != 1 {
-		t.Errorf("snapshot: rfipad_calibrated = %v, want 1", v)
+	if v := snap.Value("engine_streams_calibrated"); v != 1 {
+		t.Errorf("snapshot: engine_streams_calibrated = %v, want 1", v)
 	}
 	if v := snap.Value("rfipad_readings_total"); v == 0 {
 		t.Error("snapshot: no readings counted")

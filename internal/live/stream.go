@@ -13,8 +13,8 @@ import (
 // Stream is the calibrate-then-recognize state machine for one tag
 // stream: it buffers the static prelude, calibrates once enough of it
 // has arrived (tolerating dead tags), then feeds every further reading
-// to an online Recognizer. Run wraps one Stream around a session;
-// engine.Engine shards many of them across workers.
+// to an online Recognizer. engine.Engine supervises Streams, sharding
+// them across workers.
 type Stream struct {
 	cfg      Config
 	static   []core.Reading
@@ -23,8 +23,7 @@ type Stream struct {
 	lastTime time.Duration
 }
 
-// NewStream builds a stream state machine from the run config (only
-// Grid, CalibDuration, FlushAfter, and Obs are consulted here; event
+// NewStream builds a stream state machine from the config (event
 // fan-out stays with the caller).
 func NewStream(cfg Config) *Stream {
 	return &Stream{cfg: cfg.withDefaults()}

@@ -44,7 +44,7 @@ func NewLogger(opts LogOptions) *slog.Logger {
 }
 
 // Component tags a logger with the shared component attribute
-// ("session", "live", "readerd", ...). Nil-safe: a nil logger stays
+// ("session", "engine", "readerd", ...). Nil-safe: a nil logger stays
 // nil, and callers should treat a nil logger as disabled.
 func Component(l *slog.Logger, name string) *slog.Logger {
 	if l == nil {

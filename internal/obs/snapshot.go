@@ -37,7 +37,7 @@ func (p Point) Quantile(q float64) float64 {
 }
 
 // Snapshot is a point-in-time copy of every series in a registry —
-// what live.Result carries out of a run so tests and callers can
+// taken after a run (e.g. after engine.Close) so tests and callers can
 // assert on telemetry without scraping.
 type Snapshot struct {
 	Points []Point `json:"points"`
